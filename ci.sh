@@ -44,6 +44,7 @@ timed_test "workspace unit tests"  --workspace --lib --bins
 timed_test "workspace doctests"    --workspace --doc
 # Crate-level integration/property suites.
 timed_test "actors/prop_actors"            -p tussle-actors      --test prop_actors
+timed_test "actors/oracle_network"         -p tussle-actors      --test oracle_network
 timed_test "econ/prop_ledger"              -p tussle-econ        --test prop_ledger
 timed_test "experiments/chaos_campaign"    -p tussle-experiments --test chaos_campaign
 timed_test "experiments/prop_recovery"     -p tussle-experiments --test prop_recovery

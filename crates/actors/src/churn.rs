@@ -24,10 +24,11 @@ pub struct ChurnProcess {
 }
 
 impl ChurnProcess {
-    /// A process with the given arrival rate.
+    /// A process with the given arrival rate. A negative or non-finite rate
+    /// closes the door (rate 0).
     pub fn new(arrival_rate: f64) -> Self {
         ChurnProcess {
-            arrival_rate: arrival_rate.max(0.0),
+            arrival_rate: admissible(arrival_rate),
             entry_alignment: 0.4,
             relaxation_rate: 0.05,
             entrants: 0,
@@ -45,7 +46,8 @@ impl ChurnProcess {
     pub fn step(&mut self, net: &mut ActorNetwork, rng: &mut SimRng) -> usize {
         let mut admitted = 0;
         // Bernoulli approximation of Poisson for rates < 1; loop for more.
-        let mut budget = self.arrival_rate;
+        // An infinite budget would never run out.
+        let mut budget = admissible(self.arrival_rate);
         while budget > 0.0 {
             let p = budget.min(1.0);
             if rng.chance(p) {
@@ -60,18 +62,28 @@ impl ChurnProcess {
 
     fn admit_one(&mut self, net: &mut ActorNetwork, rng: &mut SimRng) {
         self.entrants += 1;
-        let stances: Vec<f64> = (0..net.issue_count).map(|_| rng.range(-1.0..1.0f64)).collect();
+        let stances: Vec<f64> = (0..net.issue_count()).map(|_| rng.range(-1.0..1.0f64)).collect();
         let kind = if rng.chance(0.5) { ActorKind::Human } else { ActorKind::Technology };
         let name = format!("entrant-{}", self.entrants);
         let id = net.add_actor(kind, &name, stances);
         // align with up to three incumbents — joining the network means
         // committing to parts of it
-        let incumbents: Vec<_> = net.active_actors().map(|a| a.id).filter(|i| *i != id).collect();
         for _ in 0..3 {
-            if let Some(other) = rng.pick(&incumbents).copied() {
+            let active = net.active_ids();
+            // the entrant has the highest id, so it is listed last
+            if let Some(&other) = rng.pick(&active[..active.len() - 1]) {
                 net.align(id, other, self.entry_alignment);
             }
         }
+    }
+}
+
+/// A rate the arrival loop can run out of: finite and at least 0.
+fn admissible(rate: f64) -> f64 {
+    if rate.is_finite() {
+        rate.max(0.0)
+    } else {
+        0.0
     }
 }
 
@@ -152,5 +164,19 @@ mod tests {
     fn negative_rates_are_clamped() {
         let churn = ChurnProcess::new(-5.0);
         assert_eq!(churn.arrival_rate, 0.0);
+    }
+
+    #[test]
+    fn non_finite_rates_are_clamped() {
+        for rate in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(ChurnProcess::new(rate).arrival_rate, 0.0, "rate {rate}");
+        }
+        // the public field is guarded too: an infinite rate must not hang
+        let mut net = seeded_net();
+        let mut churn = ChurnProcess::new(1.0);
+        churn.arrival_rate = f64::INFINITY;
+        let mut rng = SimRng::seed_from_u64(5);
+        assert_eq!(churn.step(&mut net, &mut rng), 0);
+        assert_eq!(net.active_count(), 2);
     }
 }

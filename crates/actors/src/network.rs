@@ -1,7 +1,6 @@
 //! Actors, alignment, durability, tussle energy.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Index of an actor in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -39,7 +38,8 @@ pub enum ActorKind {
     Institution,
 }
 
-/// An actor with stances on a fixed set of issues (-1.0 .. 1.0 per issue).
+/// An actor. Its stances on the network's issue axes live in the network:
+/// [`ActorNetwork::stances`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Actor {
     /// Identifier.
@@ -48,44 +48,70 @@ pub struct Actor {
     pub kind: ActorKind,
     /// Display name.
     pub name: String,
-    /// Stances on the network's issue axes.
-    pub stances: Vec<f64>,
     /// Whether the actor is still present.
     pub active: bool,
 }
 
-/// The actor network: actors plus pairwise alignment in `[0, 1]`.
+/// The actor network: actors with stances on a fixed set of issues
+/// (-1.0 .. 1.0 per issue), plus pairwise alignment in `[0, 1]`.
+///
+/// Every stored alignment joins two active actors: removing an actor drops
+/// its alignments, and aligning with a removed actor does nothing. Aligned
+/// pairs are always visited in `(low id, high id)` order; that order fixes
+/// every float the network computes (DESIGN.md §7).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ActorNetwork {
     actors: Vec<Actor>,
-    /// alignment keyed by (low id, high id)
-    alignment: BTreeMap<(ActorId, ActorId), f64>,
-    /// Number of issue axes every actor has a stance on.
-    pub issue_count: usize,
+    /// Stances, `issue_count` per actor: actor `i`'s row starts at
+    /// `i * issue_count`.
+    stances: Vec<f64>,
+    /// `upper[a]` holds `(b, strength)` for every `b > a` aligned with `a`,
+    /// ascending by `b`. Walking `a` upwards, then each list in order,
+    /// visits pairs in `(low, high)` order.
+    upper: Vec<Vec<(ActorId, f64)>>,
+    /// Active ids, ascending.
+    active: Vec<ActorId>,
+    issue_count: usize,
 }
 
 impl ActorNetwork {
     /// A network with the given number of issue axes.
     pub fn new(issue_count: usize) -> Self {
-        ActorNetwork { actors: Vec::new(), alignment: BTreeMap::new(), issue_count }
+        ActorNetwork { issue_count, ..Self::default() }
+    }
+
+    /// Number of issue axes every actor has a stance on.
+    pub fn issue_count(&self) -> usize {
+        self.issue_count
     }
 
     /// Add an actor; stances are clamped to `[-1, 1]` and padded/truncated
     /// to the issue count.
     pub fn add_actor(&mut self, kind: ActorKind, name: &str, stances: Vec<f64>) -> ActorId {
         let id = ActorId(self.actors.len() as u32);
-        let mut s: Vec<f64> = stances.into_iter().map(|v| v.clamp(-1.0, 1.0)).collect();
-        s.resize(self.issue_count, 0.0);
-        self.actors.push(Actor { id, kind, name: name.to_owned(), stances: s, active: true });
+        let row = self.stances.len();
+        self.stances.extend(stances.into_iter().take(self.issue_count).map(|v| v.clamp(-1.0, 1.0)));
+        self.stances.resize(row + self.issue_count, 0.0);
+        self.actors.push(Actor { id, kind, name: name.to_owned(), active: true });
+        self.upper.push(Vec::new());
+        self.active.push(id);
         id
     }
 
     /// Remove (deactivate) an actor and its alignments.
     pub fn remove_actor(&mut self, id: ActorId) {
-        if let Some(a) = self.actors.get_mut(id.index()) {
-            a.active = false;
+        let Some(actor) = self.actors.get_mut(id.index()) else { return };
+        if !std::mem::replace(&mut actor.active, false) {
+            return;
         }
-        self.alignment.retain(|(x, y), _| *x != id && *y != id);
+        self.upper[id.index()] = Vec::new();
+        for ties in &mut self.upper[..id.index()] {
+            if let Ok(i) = ties.binary_search_by_key(&id, |&(b, _)| b) {
+                ties.remove(i);
+            }
+        }
+        let i = self.active.binary_search(&id).expect("an active actor is listed");
+        self.active.remove(i);
     }
 
     /// Actor accessor.
@@ -93,14 +119,29 @@ impl ActorNetwork {
         &self.actors[id.index()]
     }
 
-    /// Active actors.
+    /// An actor's stances, one per issue axis.
+    pub fn stances(&self, id: ActorId) -> &[f64] {
+        let row = id.index() * self.issue_count;
+        &self.stances[row..row + self.issue_count]
+    }
+
+    fn is_active(&self, id: ActorId) -> bool {
+        self.actors.get(id.index()).is_some_and(|a| a.active)
+    }
+
+    /// Ids of the active actors, ascending.
+    pub(crate) fn active_ids(&self) -> &[ActorId] {
+        &self.active
+    }
+
+    /// Active actors, ascending by id.
     pub fn active_actors(&self) -> impl Iterator<Item = &Actor> {
-        self.actors.iter().filter(|a| a.active)
+        self.active.iter().map(|id| &self.actors[id.index()])
     }
 
     /// Number of active actors.
     pub fn active_count(&self) -> usize {
-        self.active_actors().count()
+        self.active.len()
     }
 
     fn key(a: ActorId, b: ActorId) -> (ActorId, ActorId) {
@@ -111,24 +152,42 @@ impl ActorNetwork {
         }
     }
 
-    /// Set the alignment strength between two actors.
+    /// Set the alignment strength between two actors. Aligning an actor
+    /// with itself, or with a removed actor, does nothing.
     pub fn align(&mut self, a: ActorId, b: ActorId, strength: f64) {
-        if a == b {
+        if a == b || !self.is_active(a) || !self.is_active(b) {
             return;
         }
-        self.alignment.insert(Self::key(a, b), strength.clamp(0.0, 1.0));
+        let (low, high) = Self::key(a, b);
+        let strength = strength.clamp(0.0, 1.0);
+        let ties = &mut self.upper[low.index()];
+        match ties.binary_search_by_key(&high, |&(b, _)| b) {
+            Ok(i) => ties[i].1 = strength,
+            Err(i) => ties.insert(i, (high, strength)),
+        }
     }
 
-    /// Current alignment between two actors (0 when none recorded).
+    /// Current alignment between two actors: 0 when none is recorded, which
+    /// is always the case once either of them has been removed.
     pub fn alignment(&self, a: ActorId, b: ActorId) -> f64 {
-        self.alignment.get(&Self::key(a, b)).copied().unwrap_or(0.0)
+        let (low, high) = Self::key(a, b);
+        let Some(ties) = self.upper.get(low.index()) else { return 0.0 };
+        ties.binary_search_by_key(&high, |&(b, _)| b).map_or(0.0, |i| ties[i].1)
+    }
+
+    /// Aligned pairs `(low, high, strength)` in `(low, high)` order.
+    fn pairs(&self) -> impl Iterator<Item = (ActorId, ActorId, f64)> + '_ {
+        self.upper
+            .iter()
+            .enumerate()
+            .flat_map(|(a, ties)| ties.iter().map(move |&(b, s)| (ActorId(a as u32), b, s)))
     }
 
     /// Interest conflict between two actors: half the mean absolute stance
     /// gap, in `[0, 1]`.
     pub fn conflict(&self, a: ActorId, b: ActorId) -> f64 {
-        let sa = &self.actors[a.index()].stances;
-        let sb = &self.actors[b.index()].stances;
+        let sa = self.stances(a);
+        let sb = self.stances(b);
         if sa.is_empty() {
             return 0.0;
         }
@@ -142,17 +201,9 @@ impl ActorNetwork {
     pub fn durability(&self) -> f64 {
         let mut weight_sum = 0.0;
         let mut value_sum = 0.0;
-        for ((a, b), s) in &self.alignment {
-            let aa = &self.actors[a.index()];
-            let bb = &self.actors[b.index()];
-            if !aa.active || !bb.active {
-                continue;
-            }
-            let w = if aa.kind == ActorKind::Technology || bb.kind == ActorKind::Technology {
-                2.0
-            } else {
-                1.0
-            };
+        for (a, b, s) in self.pairs() {
+            let technology = |id: ActorId| self.actors[id.index()].kind == ActorKind::Technology;
+            let w = if technology(a) || technology(b) { 2.0 } else { 1.0 };
             weight_sum += w;
             value_sum += w * s;
         }
@@ -166,32 +217,26 @@ impl ActorNetwork {
     /// Tussle energy: total unresolved conflict over *aligned* pairs —
     /// actors who must work together but want different things.
     pub fn tussle_energy(&self) -> f64 {
-        self.alignment
-            .iter()
-            .filter(|((a, b), _)| self.actors[a.index()].active && self.actors[b.index()].active)
-            .map(|((a, b), s)| s * self.conflict(*a, *b))
-            .sum()
+        self.pairs().map(|(a, b, s)| s * self.conflict(a, b)).sum()
     }
 
     /// One relaxation step: aligned actors pull each other's stances
     /// together at `rate` (tussles get resolved; the network hardens).
     pub fn relax(&mut self, rate: f64) {
-        let pairs: Vec<(ActorId, ActorId, f64)> =
-            self.alignment.iter().map(|((a, b), s)| (*a, *b, *s)).collect();
-        for (a, b, s) in pairs {
-            if !self.actors[a.index()].active || !self.actors[b.index()].active {
-                continue;
+        let k = self.issue_count;
+        for (a, ties) in self.upper.iter_mut().enumerate() {
+            for (b, s) in ties.iter_mut() {
+                // a < b, so a's row lies wholly below b's.
+                let (below, from_b) = self.stances.split_at_mut(b.index() * k);
+                let row_a = &mut below[a * k..a * k + k];
+                for (xa, xb) in row_a.iter_mut().zip(&mut from_b[..k]) {
+                    let pull = rate * *s * (*xb - *xa) / 2.0;
+                    *xa = (*xa + pull).clamp(-1.0, 1.0);
+                    *xb = (*xb - pull).clamp(-1.0, 1.0);
+                }
+                // working together also strengthens the tie
+                *s = (*s + rate * 0.1).min(1.0);
             }
-            for i in 0..self.issue_count {
-                let xa = self.actors[a.index()].stances[i];
-                let xb = self.actors[b.index()].stances[i];
-                let pull = rate * s * (xb - xa) / 2.0;
-                self.actors[a.index()].stances[i] = (xa + pull).clamp(-1.0, 1.0);
-                self.actors[b.index()].stances[i] = (xb - pull).clamp(-1.0, 1.0);
-            }
-            // working together also strengthens the tie
-            let e = self.alignment.get_mut(&Self::key(a, b)).expect("pair existed");
-            *e = (*e + rate * 0.1).min(1.0);
         }
     }
 }
@@ -212,7 +257,7 @@ mod tests {
     fn stances_clamped_and_padded() {
         let mut n = ActorNetwork::new(3);
         let a = n.add_actor(ActorKind::Human, "a", vec![5.0]);
-        assert_eq!(n.actor(a).stances, vec![1.0, 0.0, 0.0]);
+        assert_eq!(n.stances(a), [1.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -70,7 +70,7 @@ proptest! {
             prev_e = e;
             prev_d = d;
             for a in net.active_actors() {
-                for s in &a.stances {
+                for s in net.stances(a.id) {
                     prop_assert!((-1.0..=1.0).contains(s));
                 }
             }

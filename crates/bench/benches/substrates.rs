@@ -1,6 +1,6 @@
 //! Microbenchmarks for every substrate the experiments run on: the event
 //! engine, forwarding, routing protocols, the policy language, the game
-//! solvers, the market and the ledger.
+//! solvers, the market, the ledger and the actor network.
 //!
 //! ```sh
 //! cargo bench -p tussle-bench --bench substrates
@@ -9,6 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use tussle_actors::{ActorId, ActorKind, ActorNetwork, ChurnProcess};
 use tussle_core::{EscalationLadder, Mechanism};
 use tussle_econ::{Consumer, Ledger, Market, Money, Provider};
 use tussle_game::{FictitiousPlay, Game};
@@ -226,6 +227,35 @@ fn bench_sourceroute(c: &mut Criterion) {
     });
 }
 
+/// E12's founding network churned 600 steps at its busiest rate, 2.0
+/// (about 1,200 entrants), seed 1.
+fn churned_e12() -> ActorNetwork {
+    let mut net = ActorNetwork::new(3);
+    net.add_actor(ActorKind::Human, "users", vec![0.9, -0.4, 0.1]);
+    net.add_actor(ActorKind::Institution, "isp", vec![-0.8, 0.6, 0.0]);
+    net.add_actor(ActorKind::Technology, "ip", vec![0.0, 0.0, 0.0]);
+    net.add_actor(ActorKind::Institution, "telecom-law", vec![-0.2, 0.8, -0.5]);
+    for (a, b, s) in [(0, 2, 0.7), (1, 2, 0.7), (1, 3, 0.5), (0, 1, 0.4)] {
+        net.align(ActorId(a), ActorId(b), s);
+    }
+    let mut churn = ChurnProcess::new(2.0);
+    let mut rng = SimRng::seed_from_u64(1).fork("e12");
+    for _ in 0..600 {
+        churn.step(&mut net, &mut rng);
+    }
+    net
+}
+
+fn bench_actors(c: &mut Criterion) {
+    c.bench_function("actors/churn 600 steps at rate 2", |b| {
+        b.iter(|| black_box(churned_e12().active_count()))
+    });
+    let net = churned_e12();
+    c.bench_function("actors/tussle energy after churn", |b| {
+        b.iter(|| black_box(black_box(&net).tussle_energy()))
+    });
+}
+
 criterion_group!(
     benches,
     bench_engine,
@@ -239,5 +269,6 @@ criterion_group!(
     bench_ledger,
     bench_escalation,
     bench_sourceroute,
+    bench_actors,
 );
 criterion_main!(benches);
