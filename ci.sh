@@ -71,6 +71,7 @@ timed_test "experiments_all"          --test experiments_all
 timed_test "extensions_integration"   --test extensions_integration
 timed_test "golden_reports"           --test golden_reports
 timed_test "determinism_matrix"       --test determinism_matrix
+timed_test "export_oracle"            --test export_oracle
 timed_test "multihoming_vcg"          --test multihoming_vcg
 timed_test "principles_integration"   --test principles_integration
 timed_test "routing_integration"      --test routing_integration
@@ -146,6 +147,22 @@ jq -e --sort-keys '
 ' "$export_dir/E9.t1.json" > /dev/null
 rm -rf "$export_dir"
 echo "export smoke OK: E9 chrome trace matches the golden at 1/2/8 threads"
+
+echo "==> broken-pipe smoke: export piped into head exits 0 without a panic"
+# pipefail (set above) makes the pipeline fail if tussle-cli does; its
+# output is far larger than a pipe buffer, so head exits mid-write.
+pipe_err="$(mktemp)"
+if ! first_line="$(./target/release/tussle-cli export --only E17 --format jsonl 2>"$pipe_err" | head -1)"; then
+  echo "FAIL: export | head -1 exited nonzero: $(cat "$pipe_err")" >&2
+  exit 1
+fi
+if [[ -s "$pipe_err" ]]; then
+  echo "FAIL: export | head -1 wrote to stderr: $(cat "$pipe_err")" >&2
+  exit 1
+fi
+rm -f "$pipe_err"
+echo "$first_line" | jq -e '.topic | type == "string"' > /dev/null
+echo "broken-pipe smoke OK: the reader closing early is a quiet success"
 
 echo "==> export smoke: prometheus exposition carries typed families"
 prom="$(./target/release/tussle-cli export --only E1,E9,E14 --format prom)"

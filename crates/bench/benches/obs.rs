@@ -1,4 +1,5 @@
-//! Observability-overhead bench: what the instrumentation costs when OFF.
+//! Observability-overhead bench: what the instrumentation costs when OFF,
+//! and what the exporters cost when a run is inspected.
 //!
 //! The observability layer's contract is zero-cost-when-disabled: with no
 //! ambient observation scope active, every hook short-circuits on one
@@ -6,7 +7,9 @@
 //! building them. This bench pins that down with an event-dispatch
 //! workload — the engine loop where the hooks live — comparing handlers
 //! that call the (disabled) trace against handlers that do not, and
-//! asserts the ratio stays under 1.05.
+//! asserts the ratio stays under 1.05. `export_chrome_e17` and
+//! `export_jsonl_e17` render E17's profiled record (seed 2002), the
+//! largest trace ring in the registry.
 //!
 //! ```sh
 //! cargo bench -p tussle-bench --bench obs
@@ -15,8 +18,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-use tussle_experiments::registry;
-use tussle_sim::{obs, Engine, SimTime};
+use tussle_experiments::{registry, run_profiled};
+use tussle_sim::{obs, to_chrome, to_jsonl, Engine, SimTime};
 
 const EVENTS: u64 = 200_000;
 
@@ -45,16 +48,14 @@ fn run_chain(traced: bool) -> u64 {
     eng.world
 }
 
-/// Best-of-N wall-clock, in nanoseconds.
-fn best_of(n: usize, mut run: impl FnMut()) -> u128 {
-    (0..n)
-        .map(|_| {
-            let start = Instant::now();
-            run();
-            start.elapsed().as_nanos()
-        })
-        .min()
-        .expect("at least one run")
+/// Rounds of the disabled-tracing gate; each round times both arms.
+const GATE_ROUNDS: usize = 7;
+
+/// Wall-clock of one call, in nanoseconds.
+fn time_ns(run: impl FnOnce()) -> u128 {
+    let start = Instant::now();
+    run();
+    start.elapsed().as_nanos()
 }
 
 fn bench_obs(c: &mut Criterion) {
@@ -78,20 +79,29 @@ fn bench_obs(c: &mut Criterion) {
             black_box(guard.finish());
         })
     });
+    let (name, run) =
+        registry().into_iter().find(|(name, _)| *name == "E17").expect("E17 is registered");
+    let (_, e17) = run_profiled(name, run, 2002);
+    g.bench_function("export_chrome_e17", |b| b.iter(|| black_box(to_chrome(black_box(&e17)))));
+    g.bench_function("export_jsonl_e17", |b| b.iter(|| black_box(to_jsonl(black_box(&e17)))));
     g.finish();
 
     // The acceptance gate: disabled instrumentation inside the dispatch
     // loop must stay within 5% of the same loop with no trace calls at
-    // all. Warm both paths once, then take best-of-5 to shed scheduler
-    // noise on the shared CI core.
+    // all. Warm both paths once, then alternate the two arms round by
+    // round and keep each arm's best: a slow host phase then hits both
+    // arms instead of only the one timed during it.
     black_box(run_chain(false));
     black_box(run_chain(true));
-    let base_ns = best_of(5, || {
-        black_box(run_chain(false));
-    });
-    let traced_ns = best_of(5, || {
-        black_box(run_chain(true));
-    });
+    let (mut base_ns, mut traced_ns) = (u128::MAX, u128::MAX);
+    for _ in 0..GATE_ROUNDS {
+        base_ns = base_ns.min(time_ns(|| {
+            black_box(run_chain(false));
+        }));
+        traced_ns = traced_ns.min(time_ns(|| {
+            black_box(run_chain(true));
+        }));
+    }
     let ratio = traced_ns as f64 / base_ns as f64;
     println!(
         "disabled-tracing overhead: untraced {base_ns} ns, traced-disabled {traced_ns} ns, \

@@ -1206,6 +1206,20 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
     }
 }
 
+/// Write a command's output and a trailing newline to `out`. A closed
+/// pipe (the reader, say `head`, exited early) is a quiet success; any
+/// other write error is returned for the caller to report.
+pub fn write_output(out: &mut impl std::io::Write, text: &str) -> std::io::Result<()> {
+    let written = out
+        .write_all(text.as_bytes())
+        .and_then(|()| out.write_all(b"\n"))
+        .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
 /// Execute a command, returning the text to print.
 pub fn execute(cmd: Command) -> Result<String, UsageError> {
     match cmd {
@@ -1544,6 +1558,39 @@ mod tests {
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(|w| w.to_owned()).collect()
+    }
+
+    /// A writer that fails every write with one error kind.
+    struct FailingWriter(std::io::ErrorKind);
+
+    impl std::io::Write for FailingWriter {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_output_appends_a_newline() {
+        let mut out = Vec::new();
+        write_output(&mut out, "report").unwrap();
+        assert_eq!(out, b"report\n");
+    }
+
+    #[test]
+    fn write_output_treats_a_closed_pipe_as_success() {
+        let mut out = FailingWriter(std::io::ErrorKind::BrokenPipe);
+        assert!(write_output(&mut out, "report").is_ok());
+    }
+
+    #[test]
+    fn write_output_reports_other_write_errors() {
+        let mut out = FailingWriter(std::io::ErrorKind::PermissionDenied);
+        let err = write_output(&mut out, "report").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::PermissionDenied);
     }
 
     #[test]

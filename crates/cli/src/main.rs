@@ -18,10 +18,13 @@ fn main() -> ExitCode {
         }
     };
     match tussle_cli::execute(cmd) {
-        Ok(text) => {
-            println!("{text}");
-            ExitCode::SUCCESS
-        }
+        Ok(text) => match tussle_cli::write_output(&mut std::io::stdout().lock(), &text) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: writing output: {e}");
+                ExitCode::FAILURE
+            }
+        },
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

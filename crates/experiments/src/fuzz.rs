@@ -993,12 +993,14 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
     let record = guard.finish();
 
     // Observation-derived coverage: topics seen and (topic, depth) span
-    // shapes from the Profile ring.
+    // shapes from the Profile ring, each distinct shape formatted once.
     for topic in record.topics.keys() {
         coverage.insert(format!("{topic}@*"));
     }
-    for entry in &record.ring {
-        coverage.insert(format!("{}@{}", entry.topic, entry.depth));
+    let shapes: BTreeSet<(&str, u32)> =
+        record.ring.iter().map(|entry| (entry.topic.as_str(), entry.depth)).collect();
+    for (topic, depth) in shapes {
+        coverage.insert(format!("{topic}@{depth}"));
     }
 
     let mut h = Fnv1a::new();

@@ -160,6 +160,32 @@ fn ambient_route_cache_enabled() -> bool {
     })
 }
 
+/// A `u64` rendered in decimal on the stack, so the observed `net.send`
+/// span fields cost no heap `String` per packet.
+struct Decimal {
+    digits: [u8; 20],
+    start: usize,
+}
+
+impl Decimal {
+    fn new(mut v: u64) -> Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                return Decimal { digits, start };
+            }
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.digits[self.start..]).expect("ASCII digits")
+    }
+}
+
 /// A complete simulated network.
 #[derive(Debug, Default)]
 pub struct Network {
@@ -544,19 +570,28 @@ impl Network {
         if !tussle_sim::obs::active() {
             return self.send_at_inner(from, pkt, now, rng);
         }
-        let src = from.index().to_string();
-        let dst = pkt.dst.value.to_string();
-        tussle_sim::obs::span_enter(now, "net.send", None, &[("src", &src), ("dst", &dst)]);
+        let src = Decimal::new(from.index() as u64);
+        let dst = Decimal::new(pkt.dst.value.into());
+        tussle_sim::obs::span_enter(
+            now,
+            "net.send",
+            None,
+            &[("src", src.as_str()), ("dst", dst.as_str())],
+        );
         let report = self.send_at_inner(from, pkt, now, rng);
-        let hops = report.hops().to_string();
+        let hops = Decimal::new(report.hops() as u64);
+        let reason;
         let outcome = match (&report.drop, report.delivered) {
-            (_, true) => "delivered".to_owned(),
-            (Some((_, reason)), false) => format!("{reason:?}"),
-            (None, false) => "undelivered".to_owned(),
+            (_, true) => "delivered",
+            (Some((_, why)), false) => {
+                reason = format!("{why:?}");
+                reason.as_str()
+            }
+            (None, false) => "undelivered",
         };
         tussle_sim::obs::span_exit(
             now.saturating_add(report.latency),
-            &[("hops", &hops), ("outcome", &outcome)],
+            &[("hops", hops.as_str()), ("outcome", outcome)],
         );
         report
     }
@@ -1277,5 +1312,12 @@ mod tests {
         let rep = net.send(h0, big.clone(), &mut rng);
         assert!(rep.delivered, "post-restore packet hit stale queue state: {:?}", rep.drop);
         assert_eq!(rep.latency, SimTime::from_millis(101), "expected an empty queue after flap");
+    }
+
+    #[test]
+    fn decimal_renders_like_to_string() {
+        for v in [0, 7, 10, 99, 100, 184_549_377, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(Decimal::new(v).as_str(), v.to_string());
+        }
     }
 }

@@ -24,61 +24,71 @@ use crate::trace::{SpanKind, TraceEntry};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Escape a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Append `s` as a quoted JSON string literal. Runs of plain bytes are
+/// copied whole; `"`, `\\`, `\n`, `\r` and `\t` get short escapes and other
+/// control characters `\u00XX`. With `serde_bf`, U+0008 and U+000C render
+/// as `\b` and `\f`, the way the vendored `serde_json` writes them.
+pub(crate) fn push_json_str(out: &mut String, s: &str, serde_bf: bool) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 if serde_bf => "\\b",
+            0x0c if serde_bf => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        // `i` indexes an ASCII byte, so both slice ends are char boundaries.
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(short);
         }
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Resolve the stakeholder lane of one entry against the current lane
 /// stack — the same inheritance rule `obs` uses for the scoreboard fold:
 /// an explicit annotation wins, otherwise the enclosing span's lane,
 /// otherwise [`UNATTRIBUTED`].
-fn resolve_lane<'a>(entry: &'a TraceEntry, stack: &'a [(String, u64)]) -> &'a str {
-    entry
-        .stakeholder
-        .as_deref()
-        .or_else(|| stack.last().map(|(l, _)| l.as_str()))
-        .unwrap_or(UNATTRIBUTED)
+fn resolve_lane<'a>(entry: &'a TraceEntry, stack: &[&'a str]) -> &'a str {
+    entry.stakeholder.as_deref().or_else(|| stack.last().copied()).unwrap_or(UNATTRIBUTED)
 }
 
 /// Assign one pseudo-pid per stakeholder lane: pids are 1-based indices
 /// into the sorted lane-name list, so the mapping is stable across runs
 /// and thread counts. The synthetic engine lane (flow events) always gets
 /// the next pid after the last stakeholder.
-fn lane_pids(record: &RunRecord) -> BTreeMap<String, u64> {
-    let mut lanes: BTreeMap<String, u64> = BTreeMap::new();
-    for name in record.stakeholders.keys() {
-        lanes.insert(name.clone(), 0);
-    }
+fn lane_pids(record: &RunRecord) -> BTreeMap<&str, u64> {
+    let mut lanes: BTreeMap<&str, u64> =
+        record.stakeholders.keys().map(|name| (name.as_str(), 0)).collect();
     // A ring replay can only surface lanes the scoreboard fold already saw,
     // but hand-built records may carry a ring without a fold — cover both.
-    let mut stack: Vec<(String, u64)> = Vec::new();
+    let mut stack: Vec<&str> = Vec::new();
     for entry in &record.ring {
-        let lane = resolve_lane(entry, &stack).to_owned();
-        lanes.entry(lane.clone()).or_insert(0);
+        let lane = resolve_lane(entry, &stack);
+        lanes.entry(lane).or_insert(0);
         match entry.kind {
-            SpanKind::Enter => stack.push((lane, entry.time.as_micros())),
+            SpanKind::Enter => stack.push(lane),
             SpanKind::Exit => {
                 stack.pop();
             }
             SpanKind::Event => {}
         }
     }
-    for (i, (_, pid)) in lanes.iter_mut().enumerate() {
+    for (i, pid) in lanes.values_mut().enumerate() {
         *pid = i as u64 + 1;
     }
     lanes
@@ -87,14 +97,46 @@ fn lane_pids(record: &RunRecord) -> BTreeMap<String, u64> {
 /// The synthetic lane name provenance flow events render under.
 pub const ENGINE_LANE: &str = "engine.schedule";
 
-/// Render an args object from span fields, keys sorted (last write wins on
-/// duplicates) — jq's `--sort-keys` validation must be a no-op.
-fn args_object(fields: &[(String, String)]) -> String {
-    let sorted: BTreeMap<&str, &str> =
-        fields.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-    let inner: Vec<String> =
-        sorted.iter().map(|(k, v)| format!("\"{}\":\"{}\"", esc(k), esc(v))).collect();
-    format!("{{{}}}", inner.join(","))
+/// Append an args object from span fields, keys sorted (last write wins on
+/// duplicates) — jq's `--sort-keys` validation must be a no-op. `order` is
+/// scratch space reused across entries.
+fn write_args(out: &mut String, fields: &[(String, String)], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..fields.len());
+    // Stable: equal keys keep field order, so the last of each run of equal
+    // keys is the last write.
+    order.sort_by(|&a, &b| fields[a].0.cmp(&fields[b].0));
+    out.push('{');
+    let mut sep = "";
+    for (n, &i) in order.iter().enumerate() {
+        let (k, v) = &fields[i];
+        if order.get(n + 1).is_some_and(|&next| fields[next].0 == *k) {
+            continue;
+        }
+        out.push_str(sep);
+        push_json_str(out, k, false);
+        out.push(':');
+        push_json_str(out, v, false);
+        sep = ",";
+    }
+    out.push('}');
+}
+
+/// Append one `B`/`E` duration event.
+fn write_span_edge(
+    out: &mut String,
+    ph: &str,
+    fields: &[(String, String)],
+    order: &mut Vec<usize>,
+    topic: &str,
+    pid: u64,
+    ts: u64,
+) {
+    out.push_str("{\"args\":");
+    write_args(out, fields, order);
+    out.push_str(",\"name\":");
+    push_json_str(out, topic, false);
+    let _ = write!(out, ",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":1,\"ts\":{ts}}}");
 }
 
 /// Export the captured trace ring + provenance DAG as Chrome trace-event
@@ -114,79 +156,77 @@ fn args_object(fields: &[(String, String)]) -> String {
 ///   evicted from the bounded ring are dropped.
 ///
 /// `ts` is virtual microseconds; nothing nondeterministic is rendered.
+/// Every event streams into one pre-sized buffer.
 pub fn to_chrome(record: &RunRecord) -> String {
     let lanes = lane_pids(record);
     let engine_pid = lanes.values().max().copied().unwrap_or(0) + 1;
-    let mut events: Vec<String> = Vec::new();
-    for (name, pid) in &lanes {
-        events.push(format!(
-            "{{\"args\":{{\"name\":\"{}\"}},\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":1,\"ts\":0}}",
-            esc(name),
-            pid
-        ));
+    // Registry runs render about 95 bytes per ring entry and 150 per
+    // provenance node (its two flow events), so the buffer rarely regrows.
+    let mut out = String::with_capacity(
+        64 + 96 * (lanes.len() + record.ring.len()) + 160 * record.provenance.len(),
+    );
+    out.push_str("{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
+    // Every event after the first opens with the `,\n` separator.
+    let body = out.len();
+    let sep = |out: &mut String| {
+        if out.len() > body {
+            out.push_str(",\n");
+        }
+    };
+    let named = lanes.iter().map(|(name, pid)| (*name, *pid));
+    for (name, pid) in named.chain([(ENGINE_LANE, engine_pid)]) {
+        sep(&mut out);
+        out.push_str("{\"args\":{\"name\":");
+        push_json_str(&mut out, name, false);
+        let _ = write!(
+            out,
+            "}},\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\"ts\":0}}"
+        );
     }
-    events.push(format!(
-        "{{\"args\":{{\"name\":\"{}\"}},\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":1,\"ts\":0}}",
-        esc(ENGINE_LANE),
-        engine_pid
-    ));
 
-    // Replay the ring with a lane stack; (topic, pid, ts) so close edges
-    // land on the lane that opened them.
-    let mut stack: Vec<(String, u64)> = Vec::new();
-    let mut open: Vec<(String, u64)> = Vec::new();
+    // Replay the ring with a lane stack; (topic, pid) of each open span so
+    // close edges land on the lane that opened them.
+    let mut order = Vec::new();
+    let mut stack: Vec<&str> = Vec::new();
+    let mut open: Vec<(&str, u64)> = Vec::new();
     let mut last_ts = 0u64;
     for entry in &record.ring {
         let ts = entry.time.as_micros();
         last_ts = last_ts.max(ts);
         match entry.kind {
             SpanKind::Enter => {
-                let lane = resolve_lane(entry, &stack).to_owned();
-                let pid = lanes[&lane];
-                events.push(format!(
-                    "{{\"args\":{},\"name\":\"{}\",\"ph\":\"B\",\"pid\":{},\"tid\":1,\"ts\":{}}}",
-                    args_object(&entry.fields),
-                    esc(&entry.topic),
-                    pid,
-                    ts
-                ));
-                stack.push((lane, entry.time.as_micros()));
-                open.push((entry.topic.clone(), pid));
+                let lane = resolve_lane(entry, &stack);
+                let pid = lanes[lane];
+                sep(&mut out);
+                write_span_edge(&mut out, "B", &entry.fields, &mut order, &entry.topic, pid, ts);
+                stack.push(lane);
+                open.push((&entry.topic, pid));
             }
             SpanKind::Exit => {
                 stack.pop();
                 // A stray exit (no matching B in the capture) renders
                 // nothing — output B/E stay balanced.
                 if let Some((topic, pid)) = open.pop() {
-                    events.push(format!(
-                        "{{\"args\":{},\"name\":\"{}\",\"ph\":\"E\",\"pid\":{},\"tid\":1,\"ts\":{}}}",
-                        args_object(&entry.fields),
-                        esc(&topic),
-                        pid,
-                        ts
-                    ));
+                    sep(&mut out);
+                    write_span_edge(&mut out, "E", &entry.fields, &mut order, topic, pid, ts);
                 }
             }
             SpanKind::Event => {
                 let pid = lanes[resolve_lane(entry, &stack)];
-                events.push(format!(
-                    "{{\"args\":{{\"message\":\"{}\"}},\"name\":\"{}\",\"ph\":\"i\",\"pid\":{},\"s\":\"t\",\"tid\":1,\"ts\":{}}}",
-                    esc(&entry.message),
-                    esc(&entry.topic),
-                    pid,
-                    ts
-                ));
+                sep(&mut out);
+                out.push_str("{\"args\":{\"message\":");
+                push_json_str(&mut out, &entry.message, false);
+                out.push_str("},\"name\":");
+                push_json_str(&mut out, &entry.topic, false);
+                let _ =
+                    write!(out, ",\"ph\":\"i\",\"pid\":{pid},\"s\":\"t\",\"tid\":1,\"ts\":{ts}}}");
             }
         }
     }
     // Close spans the capture never saw exit, newest first.
     while let Some((topic, pid)) = open.pop() {
-        events.push(format!(
-            "{{\"args\":{{}},\"name\":\"{}\",\"ph\":\"E\",\"pid\":{},\"tid\":1,\"ts\":{}}}",
-            esc(&topic),
-            pid,
-            last_ts
-        ));
+        sep(&mut out);
+        write_span_edge(&mut out, "E", &[], &mut order, topic, pid, last_ts);
     }
 
     // Provenance edges as flow events on the synthetic engine lane.
@@ -195,20 +235,18 @@ pub fn to_chrome(record: &RunRecord) -> String {
     for node in &record.provenance {
         let Some(parent) = node.parent else { continue };
         let Some(parent_ts) = by_id.get(&parent.0) else { continue };
-        events.push(format!(
-            "{{\"cat\":\"provenance\",\"id\":{},\"name\":\"sched\",\"ph\":\"s\",\"pid\":{},\"tid\":1,\"ts\":{}}}",
-            node.id.0, engine_pid, parent_ts
-        ));
-        events.push(format!(
-            "{{\"bp\":\"e\",\"cat\":\"provenance\",\"id\":{},\"name\":\"sched\",\"ph\":\"f\",\"pid\":{},\"tid\":1,\"ts\":{}}}",
-            node.id.0,
-            engine_pid,
-            node.time.as_micros()
-        ));
+        let (id, ts) = (node.id.0, node.time.as_micros());
+        sep(&mut out);
+        let _ = write!(
+            out,
+            "{{\"cat\":\"provenance\",\"id\":{id},\"name\":\"sched\",\"ph\":\"s\",\"pid\":{engine_pid},\"tid\":1,\"ts\":{parent_ts}}}"
+        );
+        sep(&mut out);
+        let _ = write!(
+            out,
+            "{{\"bp\":\"e\",\"cat\":\"provenance\",\"id\":{id},\"name\":\"sched\",\"ph\":\"f\",\"pid\":{engine_pid},\"tid\":1,\"ts\":{ts}}}"
+        );
     }
-
-    let mut out = String::from("{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
-    out.push_str(&events.join(",\n"));
     out.push_str("\n]\n}\n");
     out
 }
@@ -293,11 +331,13 @@ pub fn to_prometheus(record: &RunRecord) -> String {
 }
 
 /// Export the captured trace ring as JSON Lines: one serialized
-/// [`TraceEntry`] per line, oldest first.
+/// [`TraceEntry`] per line, oldest first, streamed into one pre-sized
+/// buffer by [`TraceEntry::write_json`].
 pub fn to_jsonl(record: &RunRecord) -> String {
-    let mut out = String::new();
+    // Registry runs render about 145 bytes per entry.
+    let mut out = String::with_capacity(160 * record.ring.len());
     for entry in &record.ring {
-        out.push_str(&serde_json::to_string(entry).expect("trace entries serialize"));
+        entry.write_json(&mut out);
         out.push('\n');
     }
     out
@@ -398,9 +438,10 @@ mod tests {
         let rec = sample_record();
         let out = to_jsonl(&rec);
         assert_eq!(out.lines().count(), rec.ring.len());
-        for line in out.lines() {
+        for (line, entry) in out.lines().zip(&rec.ring) {
+            assert_eq!(line, serde_json::to_string(entry).unwrap(), "the bytes serde renders");
             let back: TraceEntry = serde_json::from_str(line).expect("round-trips");
-            assert!(!back.topic.is_empty());
+            assert_eq!(&back, entry);
         }
     }
 
@@ -409,7 +450,14 @@ mod tests {
         assert_eq!(prom_escape("x\"y"), "x\\\"y");
         assert_eq!(prom_escape("x\\y"), "x\\\\y");
         assert_eq!(prom_escape("x\ny"), "x\\ny");
-        assert_eq!(esc("a\"b\nc"), "a\\\"b\\nc");
-        assert_eq!(esc("tab\there"), "tab\\there");
+        let esc = |s: &str, serde_bf: bool| {
+            let mut out = String::new();
+            push_json_str(&mut out, s, serde_bf);
+            out
+        };
+        assert_eq!(esc("a\"b\nc", false), "\"a\\\"b\\nc\"");
+        assert_eq!(esc("tab\there", false), "\"tab\\there\"");
+        assert_eq!(esc("\u{8}\u{c}\u{1}é", false), "\"\\u0008\\u000c\\u0001é\"");
+        assert_eq!(esc("\u{8}\u{c}\u{1f}é", true), "\"\\b\\f\\u001fé\"");
     }
 }

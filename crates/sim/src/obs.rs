@@ -12,8 +12,10 @@
 //! Three modes, mirroring the zero-cost-when-disabled contract:
 //!
 //! * **Off** — every hook is a single thread-local byte load and a branch.
-//! * **Cost** — counters + rolling digest. No wall clocks, no allocation
-//!   per hook beyond hashing; what sweeps and chaos campaigns use.
+//! * **Cost** — counters + rolling digest. No wall clocks and no
+//!   allocation per hook: ambient spans hash their borrowed parts and the
+//!   stakeholder fold keeps interned lanes; what sweeps and chaos
+//!   campaigns use.
 //! * **Profile** — additionally captures a bounded ring of trace entries
 //!   and per-topic virtual-time/wall-time attribution for
 //!   `tussle-cli profile` / `tussle-cli trace`.
@@ -26,7 +28,7 @@ use crate::event::EventId;
 use crate::metrics::{Histogram, MetricsSnapshot, RunSeries, TimeSeries};
 use crate::provenance::ProvenanceNode;
 use crate::time::SimTime;
-use crate::trace::{SpanKind, TraceEntry};
+use crate::trace::{EntryParts, SpanKind, TraceEntry};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -156,8 +158,10 @@ struct ObsState {
     topics: BTreeMap<String, TopicCost>,
     ring: VecDeque<TraceEntry>,
     ring_dropped: u64,
-    /// Open ambient spans: (topic, enter virtual micros, enter instant).
-    open: Vec<(String, u64, Instant)>,
+    /// Open ambient spans, innermost last.
+    open: Vec<OpenSpan>,
+    /// The open spans' topics back to back, one reused buffer.
+    open_topics: String,
     /// The event currently being dispatched (stamped onto ambient entries).
     current_event: Option<EventId>,
     provenance: VecDeque<ProvenanceNode>,
@@ -166,16 +170,26 @@ struct ObsState {
     series_events: TimeSeries,
     series_forwards: TimeSeries,
     series_faults: TimeSeries,
-    /// Per-stakeholder tallies, folded streaming in `absorb`.
-    stakeholders: BTreeMap<String, StakeholderCost>,
-    /// Parallel lane stack over the span stream: (resolved lane, enter
-    /// virtual micros). Nested spans without their own stakeholder
+    /// Per-stakeholder tallies in first-seen order, folded streaming in
+    /// `absorb`; `into_record` sorts them by lane name.
+    lanes: Vec<(String, StakeholderCost)>,
+    /// Parallel lane stack over the span stream: (index into `lanes`,
+    /// enter virtual micros). Nested spans without their own stakeholder
     /// annotation inherit the enclosing lane.
-    stake_stack: Vec<(String, u64)>,
+    stake_stack: Vec<(usize, u64)>,
     /// Accumulated metric writes (Profile mode only).
     acc_counters: BTreeMap<String, u64>,
     acc_gauges: BTreeMap<String, f64>,
     acc_hists: BTreeMap<String, Histogram>,
+}
+
+/// One open ambient span.
+struct OpenSpan {
+    /// Where the span's topic starts in `ObsState::open_topics`.
+    topic_at: usize,
+    entered_micros: u64,
+    /// Set in Profile mode only, the one mode that reports wall time.
+    entered_at: Option<Instant>,
 }
 
 impl ObsState {
@@ -194,6 +208,7 @@ impl ObsState {
             ring: VecDeque::new(),
             ring_dropped: 0,
             open: Vec::new(),
+            open_topics: String::new(),
             current_event: None,
             provenance: VecDeque::new(),
             provenance_dropped: 0,
@@ -201,7 +216,7 @@ impl ObsState {
             series_events: TimeSeries::new(),
             series_forwards: TimeSeries::new(),
             series_faults: TimeSeries::new(),
-            stakeholders: BTreeMap::new(),
+            lanes: Vec::new(),
             stake_stack: Vec::new(),
             acc_counters: BTreeMap::new(),
             acc_gauges: BTreeMap::new(),
@@ -240,7 +255,7 @@ impl ObsState {
                 forwards: self.series_forwards.summary(),
                 faults: self.series_faults.summary(),
             },
-            stakeholders: self.stakeholders,
+            stakeholders: self.lanes.into_iter().collect(),
             metrics: MetricsSnapshot {
                 counters: self.acc_counters,
                 gauges: self.acc_gauges,
@@ -250,7 +265,9 @@ impl ObsState {
         }
     }
 
-    fn absorb(&mut self, entry: &TraceEntry) {
+    /// Hash one entry's parts and fold it into the counters and the
+    /// stakeholder lanes.
+    fn absorb<K: AsRef<str>, V: AsRef<str>>(&mut self, entry: &EntryParts<'_, K, V>) {
         entry.absorb_into(&mut self.hasher);
         self.trace_entries += 1;
         // Stakeholder attribution: a parallel lane stack over the span
@@ -259,18 +276,15 @@ impl ObsState {
         // in exactly one lane, so per-lane `entries` sum to
         // `trace_entries` — the conservation invariant the scoreboard
         // proptests pin.
+        let micros = entry.time.as_micros();
         match entry.kind {
             SpanKind::Enter => {
                 self.spans_entered += 1;
-                let lane = entry
-                    .stakeholder
-                    .clone()
-                    .or_else(|| self.stake_stack.last().map(|(l, _)| l.clone()))
-                    .unwrap_or_else(|| UNATTRIBUTED.to_owned());
-                let c = self.stakeholders.entry(lane.clone()).or_default();
+                let lane = self.resolve_lane(entry.stakeholder);
+                let c = &mut self.lanes[lane].1;
                 c.entries += 1;
                 c.spans += 1;
-                self.stake_stack.push((lane, entry.time.as_micros()));
+                self.stake_stack.push((lane, micros));
             }
             SpanKind::Exit => {
                 self.spans_exited += 1;
@@ -279,39 +293,64 @@ impl ObsState {
                 // owns the elapsed virtual time. A stray exit (possible in
                 // hand-built streams) lands in the unattributed lane with
                 // no elapsed time.
-                let (lane, entered) = self
-                    .stake_stack
-                    .pop()
-                    .unwrap_or_else(|| (UNATTRIBUTED.to_owned(), entry.time.as_micros()));
-                let c = self.stakeholders.entry(lane).or_default();
+                let (lane, entered) = match self.stake_stack.pop() {
+                    Some(top) => top,
+                    None => (self.lane(UNATTRIBUTED), micros),
+                };
+                let c = &mut self.lanes[lane].1;
                 c.entries += 1;
-                c.virtual_micros += entry.time.as_micros().saturating_sub(entered);
+                c.virtual_micros += micros.saturating_sub(entered);
             }
             SpanKind::Event => {
-                let lane = entry
-                    .stakeholder
-                    .as_deref()
-                    .or_else(|| self.stake_stack.last().map(|(l, _)| l.as_str()))
-                    .unwrap_or(UNATTRIBUTED);
-                // Steady state stays allocation-free: only the first entry
-                // per lane clones the key.
-                if !self.stakeholders.contains_key(lane) {
-                    self.stakeholders.insert(lane.to_owned(), StakeholderCost::default());
-                }
-                let c = self.stakeholders.get_mut(lane).expect("lane just ensured");
+                let lane = self.resolve_lane(entry.stakeholder);
+                let c = &mut self.lanes[lane].1;
                 c.entries += 1;
                 c.events += 1;
             }
         }
-        if self.mode == ObsMode::Profile {
-            if self.ring.len() == PROFILE_RING_CAPACITY {
-                self.ring.pop_front();
-                self.ring_dropped += 1;
+    }
+
+    /// The lane an entry lands in: its own annotation, otherwise the
+    /// enclosing span's lane, otherwise [`UNATTRIBUTED`].
+    fn resolve_lane(&mut self, stakeholder: Option<&str>) -> usize {
+        match (stakeholder, self.stake_stack.last()) {
+            (Some(name), _) => self.lane(name),
+            (None, Some(&(lane, _))) => lane,
+            (None, None) => self.lane(UNATTRIBUTED),
+        }
+    }
+
+    /// Index of lane `name`, interned on first sight: runs carry a handful
+    /// of lanes, so a scan beats cloning a key per entry.
+    fn lane(&mut self, name: &str) -> usize {
+        match self.lanes.iter().position(|(lane, _)| lane == name) {
+            Some(i) => i,
+            None => {
+                self.lanes.push((name.to_owned(), StakeholderCost::default()));
+                self.lanes.len() - 1
             }
-            self.ring.push_back(entry.clone());
-            // Snapshot the rolling digest after each entry: Fnv1a::finish
-            // is non-consuming, so the prefix stream costs one push.
-            self.prefix.push(self.hasher.finish());
+        }
+    }
+
+    /// Profile mode: retain `entry` in the bounded ring, with the rolling
+    /// digest after it — `Fnv1a::finish` is non-consuming, so the prefix
+    /// stream costs one push.
+    fn capture(&mut self, entry: TraceEntry) {
+        if self.ring.len() == PROFILE_RING_CAPACITY {
+            self.ring.pop_front();
+            self.ring_dropped += 1;
+        }
+        self.ring.push_back(entry);
+        self.prefix.push(self.hasher.finish());
+    }
+
+    /// Absorb an ambient entry from its borrowed parts; the owned entry is
+    /// built only when a Profile ring retains it.
+    fn observe<K: AsRef<str>, V: AsRef<str>>(&mut self, entry: EntryParts<'_, K, V>) {
+        self.absorb(&entry);
+        if self.mode == ObsMode::Profile {
+            let owned = entry.to_entry(self.current_event);
+            self.capture(owned);
         }
     }
 }
@@ -442,10 +481,15 @@ pub fn on_fault(at: SimTime) {
 }
 
 /// Absorb a structured trace entry (called by [`crate::Trace`] on every
-/// record, and by the ambient span helpers below).
+/// record). The entry is cloned into the ring only in Profile mode.
 #[inline]
 pub fn absorb_entry(entry: &TraceEntry) {
-    with_state(|s| s.absorb(entry));
+    with_state(|s| {
+        s.absorb(&entry.parts());
+        if s.mode == ObsMode::Profile {
+            s.capture(entry.clone());
+        }
+    });
 }
 
 /// A counter was incremented.
@@ -522,18 +566,22 @@ pub fn on_handler(topic: &str, virtual_micros: u64, wall_nanos: u64) {
 /// per-topic attribution when closed.
 pub fn span_enter(time: SimTime, topic: &str, stakeholder: Option<&str>, fields: &[(&str, &str)]) {
     with_state(|s| {
-        let entry = TraceEntry {
-            time,
-            topic: topic.to_owned(),
-            message: String::new(),
+        s.observe(EntryParts {
             kind: SpanKind::Enter,
-            stakeholder: stakeholder.map(str::to_owned),
-            fields: fields.iter().map(|(k, v)| ((*k).to_owned(), (*v).to_owned())).collect(),
+            time,
+            topic,
+            message: "",
+            stakeholder,
+            fields,
             depth: s.open.len() as u32,
-            event: s.current_event,
-        };
-        s.absorb(&entry);
-        s.open.push((topic.to_owned(), time.as_micros(), Instant::now()));
+        });
+        let entered_at = (s.mode == ObsMode::Profile).then(Instant::now);
+        s.open.push(OpenSpan {
+            topic_at: s.open_topics.len(),
+            entered_micros: time.as_micros(),
+            entered_at,
+        });
+        s.open_topics.push_str(topic);
     });
 }
 
@@ -541,26 +589,32 @@ pub fn span_enter(time: SimTime, topic: &str, stakeholder: Option<&str>, fields:
 /// so exits can never outnumber enters.
 pub fn span_exit(time: SimTime, fields: &[(&str, &str)]) {
     with_state(|s| {
-        let Some((topic, entered_micros, entered_at)) = s.open.pop() else {
+        let Some(span) = s.open.pop() else {
             return;
         };
-        let entry = TraceEntry {
-            time,
-            topic: topic.clone(),
-            message: String::new(),
+        // Lend the topic buffer out while the state is borrowed mutably.
+        let mut open_topics = std::mem::take(&mut s.open_topics);
+        let topic = &open_topics[span.topic_at..];
+        s.observe(EntryParts {
             kind: SpanKind::Exit,
+            time,
+            topic,
+            message: "",
             stakeholder: None,
-            fields: fields.iter().map(|(k, v)| ((*k).to_owned(), (*v).to_owned())).collect(),
+            fields,
             depth: s.open.len() as u32,
-            event: s.current_event,
-        };
-        s.absorb(&entry);
-        if s.mode == ObsMode::Profile {
-            let t = s.topics.entry(topic).or_default();
+        });
+        if let Some(entered_at) = span.entered_at {
+            if !s.topics.contains_key(topic) {
+                s.topics.insert(topic.to_owned(), TopicCost::default());
+            }
+            let t = s.topics.get_mut(topic).expect("topic just ensured");
             t.events += 1;
-            t.virtual_micros += time.as_micros().saturating_sub(entered_micros);
+            t.virtual_micros += time.as_micros().saturating_sub(span.entered_micros);
             t.wall_nanos += entered_at.elapsed().as_nanos() as u64;
         }
+        open_topics.truncate(span.topic_at);
+        s.open_topics = open_topics;
     });
 }
 
@@ -573,18 +627,17 @@ pub fn event(time: SimTime, topic: &str, message: &str) {
 /// of the scoreboard fold (and its Perfetto pseudo-process) instead of
 /// inheriting the enclosing span's lane.
 pub fn event_for(time: SimTime, topic: &str, stakeholder: Option<&str>, message: &str) {
+    const NO_FIELDS: &[(&str, &str)] = &[];
     with_state(|s| {
-        let entry = TraceEntry {
-            time,
-            topic: topic.to_owned(),
-            message: message.to_owned(),
+        s.observe(EntryParts {
             kind: SpanKind::Event,
-            stakeholder: stakeholder.map(str::to_owned),
-            fields: Vec::new(),
+            time,
+            topic,
+            message,
+            stakeholder,
+            fields: NO_FIELDS,
             depth: s.open.len() as u32,
-            event: s.current_event,
-        };
-        s.absorb(&entry);
+        });
     });
 }
 

@@ -13,10 +13,12 @@
 
 use crate::digest::{Fnv1a, RunDigest};
 use crate::event::EventId;
+use crate::export::push_json_str;
 use crate::obs;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 
 /// What kind of record a trace entry is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,19 +56,32 @@ pub struct TraceEntry {
     pub event: Option<EventId>,
 }
 
-impl TraceEntry {
-    /// Absorb this entry into a hasher (the per-entry digest contribution).
-    /// Note `event` is excluded by design — see its field doc.
-    pub fn absorb_into(&self, h: &mut Fnv1a) {
+/// A borrowed view of one trace entry's digested parts — everything but
+/// the `event` stamp. [`EntryParts::absorb_into`] is the one per-entry
+/// hashing recipe: owned entries ([`TraceEntry::absorb_into`]) and the
+/// ambient span hooks, which build no entry outside Profile mode, share it.
+pub(crate) struct EntryParts<'a, K, V> {
+    pub kind: SpanKind,
+    pub time: SimTime,
+    pub topic: &'a str,
+    pub message: &'a str,
+    pub stakeholder: Option<&'a str>,
+    pub fields: &'a [(K, V)],
+    pub depth: u32,
+}
+
+impl<K: AsRef<str>, V: AsRef<str>> EntryParts<'_, K, V> {
+    /// Absorb these parts into a hasher (the per-entry digest contribution).
+    pub(crate) fn absorb_into(&self, h: &mut Fnv1a) {
         h.write_u8(match self.kind {
             SpanKind::Event => 0,
             SpanKind::Enter => 1,
             SpanKind::Exit => 2,
         });
         h.write_u64(self.time.as_micros());
-        h.write_str(&self.topic);
-        h.write_str(&self.message);
-        match &self.stakeholder {
+        h.write_str(self.topic);
+        h.write_str(self.message);
+        match self.stakeholder {
             None => h.write_u8(0),
             Some(s) => {
                 h.write_u8(1);
@@ -74,11 +89,84 @@ impl TraceEntry {
             }
         }
         h.write_u64(self.fields.len() as u64);
-        for (k, v) in &self.fields {
-            h.write_str(k);
-            h.write_str(v);
+        for (k, v) in self.fields {
+            h.write_str(k.as_ref());
+            h.write_str(v.as_ref());
         }
         h.write_u64(self.depth as u64);
+    }
+
+    /// The owned entry these parts describe, stamped with `event`.
+    pub(crate) fn to_entry(&self, event: Option<EventId>) -> TraceEntry {
+        TraceEntry {
+            time: self.time,
+            topic: self.topic.to_owned(),
+            message: self.message.to_owned(),
+            kind: self.kind,
+            stakeholder: self.stakeholder.map(str::to_owned),
+            fields: self
+                .fields
+                .iter()
+                .map(|(k, v)| (k.as_ref().to_owned(), v.as_ref().to_owned()))
+                .collect(),
+            depth: self.depth,
+            event,
+        }
+    }
+}
+
+impl TraceEntry {
+    /// This entry's digested parts, borrowed.
+    pub(crate) fn parts(&self) -> EntryParts<'_, String, String> {
+        EntryParts {
+            kind: self.kind,
+            time: self.time,
+            topic: &self.topic,
+            message: &self.message,
+            stakeholder: self.stakeholder.as_deref(),
+            fields: &self.fields,
+            depth: self.depth,
+        }
+    }
+
+    /// Absorb this entry into a hasher (the per-entry digest contribution).
+    /// Note `event` is excluded by design — see its field doc.
+    pub fn absorb_into(&self, h: &mut Fnv1a) {
+        self.parts().absorb_into(h);
+    }
+
+    /// Append this entry as one JSON object: exactly the bytes
+    /// `serde_json::to_string(self)` renders (fields in declaration order,
+    /// serde's string escaping), without lowering through a `Value` tree.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"time\":{},\"topic\":", self.time.as_micros());
+        push_json_str(out, &self.topic, true);
+        out.push_str(",\"message\":");
+        push_json_str(out, &self.message, true);
+        out.push_str(match self.kind {
+            SpanKind::Event => ",\"kind\":\"Event\",\"stakeholder\":",
+            SpanKind::Enter => ",\"kind\":\"Enter\",\"stakeholder\":",
+            SpanKind::Exit => ",\"kind\":\"Exit\",\"stakeholder\":",
+        });
+        match &self.stakeholder {
+            None => out.push_str("null"),
+            Some(s) => push_json_str(out, s, true),
+        }
+        out.push_str(",\"fields\":[");
+        for (i, (k, v)) in self.fields.iter().enumerate() {
+            out.push_str(if i == 0 { "[" } else { ",[" });
+            push_json_str(out, k, true);
+            out.push(',');
+            push_json_str(out, v, true);
+            out.push(']');
+        }
+        let _ = write!(out, "],\"depth\":{},\"event\":", self.depth);
+        match self.event {
+            None => out.push_str("null}"),
+            Some(e) => {
+                let _ = write!(out, "{}}}", e.0);
+            }
+        }
     }
 
     /// Render as a single line: `time topic [stakeholder] message {k=v ...}`.

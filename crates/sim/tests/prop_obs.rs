@@ -1,8 +1,14 @@
 //! Property tests for the observability layer: span nesting, digest
-//! capacity-invariance, and quantile monotonicity.
+//! capacity-invariance, quantile monotonicity, and capture equivalence —
+//! Cost mode hashes borrowed entry parts while Profile mode builds owned
+//! entries, and both must observe the same stream.
 
 use proptest::prelude::*;
-use tussle_sim::{Histogram, SimTime, Trace};
+use std::collections::BTreeMap;
+use tussle_sim::obs::{self, ObsMode, RunRecord};
+use tussle_sim::{
+    Fnv1a, Histogram, SimTime, SpanKind, StakeholderCost, Trace, TraceEntry, UNATTRIBUTED,
+};
 
 /// One random action against a trace: a plain event, a span enter, or a
 /// span exit (which is a no-op when nothing is open).
@@ -43,7 +49,145 @@ fn apply(trace: &mut Trace, actions: &[Action]) -> (u64, u64) {
     (enters, exits)
 }
 
+/// One step of a capture sequence: an ambient hook, or a record on an
+/// engine-style [`Trace`] (the owned-entry path into the scope).
+#[derive(Debug, Clone)]
+enum Step {
+    AmbientEnter(u64, String, Option<String>, Vec<(String, String)>),
+    AmbientExit(u64, Vec<(String, String)>),
+    AmbientEvent(u64, String, Option<String>, String),
+    TraceRecord(u64, String, Option<String>, Vec<(String, String)>),
+    TraceEnter(u64, String, Option<String>),
+    TraceExit(u64),
+}
+
+fn arb_lane() -> impl Strategy<Value = Option<String>> {
+    (0u8..4).prop_map(|i| ["isp", "user", "gov"].get(usize::from(i)).map(|l| (*l).to_owned()))
+}
+
+fn arb_fields() -> impl Strategy<Value = Vec<(String, String)>> {
+    proptest::collection::vec(("[a-c]{1,2}", "[a-z0-9]{0,4}"), 0..3)
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    let topic = "[a-c]{1,3}\\.[a-c]{1,3}";
+    let step = prop_oneof![
+        (0u64..1_000, topic, arb_lane(), arb_fields())
+            .prop_map(|(t, topic, lane, f)| Step::AmbientEnter(t, topic, lane, f)),
+        (0u64..1_000, arb_fields()).prop_map(|(t, f)| Step::AmbientExit(t, f)),
+        (0u64..1_000, topic, arb_lane(), "[a-z]{0,5}")
+            .prop_map(|(t, topic, lane, m)| Step::AmbientEvent(t, topic, lane, m)),
+        (0u64..1_000, topic, arb_lane(), arb_fields())
+            .prop_map(|(t, topic, lane, f)| Step::TraceRecord(t, topic, lane, f)),
+        (0u64..1_000, topic, arb_lane())
+            .prop_map(|(t, topic, lane)| Step::TraceEnter(t, topic, lane)),
+        (0u64..1_000).prop_map(Step::TraceExit),
+    ];
+    proptest::collection::vec(step, 0..80)
+}
+
+fn borrowed(fields: &[(String, String)]) -> Vec<(&str, &str)> {
+    fields.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect()
+}
+
+/// Run `steps` under one observation scope in `mode`.
+fn capture(mode: ObsMode, steps: &[Step]) -> RunRecord {
+    let guard = obs::begin(mode);
+    let mut trace = Trace::with_capacity(4096);
+    for step in steps {
+        match step {
+            Step::AmbientEnter(t, topic, lane, f) => {
+                obs::span_enter(SimTime::from_micros(*t), topic, lane.as_deref(), &borrowed(f));
+            }
+            Step::AmbientExit(t, f) => obs::span_exit(SimTime::from_micros(*t), &borrowed(f)),
+            Step::AmbientEvent(t, topic, lane, m) => {
+                obs::event_for(SimTime::from_micros(*t), topic, lane.as_deref(), m);
+            }
+            Step::TraceRecord(t, topic, lane, f) => {
+                let at = SimTime::from_micros(*t);
+                trace.record_fields(at, topic, lane.as_deref(), &borrowed(f), "rec");
+            }
+            Step::TraceEnter(t, topic, lane) => {
+                trace.span_enter(SimTime::from_micros(*t), topic, lane.as_deref(), &[]);
+            }
+            Step::TraceExit(t) => {
+                trace.span_exit(SimTime::from_micros(*t), &[]);
+            }
+        }
+    }
+    guard.finish()
+}
+
+/// The stakeholder fold as `obs` computed it with one owned `String` per
+/// lane-stack level, kept as the reference for the interned-lane fold.
+fn string_lane_fold(ring: &[TraceEntry]) -> BTreeMap<String, StakeholderCost> {
+    let mut stakeholders: BTreeMap<String, StakeholderCost> = BTreeMap::new();
+    let mut stake_stack: Vec<(String, u64)> = Vec::new();
+    for entry in ring {
+        match entry.kind {
+            SpanKind::Enter => {
+                let lane = entry
+                    .stakeholder
+                    .clone()
+                    .or_else(|| stake_stack.last().map(|(l, _)| l.clone()))
+                    .unwrap_or_else(|| UNATTRIBUTED.to_owned());
+                let c = stakeholders.entry(lane.clone()).or_default();
+                c.entries += 1;
+                c.spans += 1;
+                stake_stack.push((lane, entry.time.as_micros()));
+            }
+            SpanKind::Exit => {
+                let (lane, entered) = stake_stack
+                    .pop()
+                    .unwrap_or_else(|| (UNATTRIBUTED.to_owned(), entry.time.as_micros()));
+                let c = stakeholders.entry(lane).or_default();
+                c.entries += 1;
+                c.virtual_micros += entry.time.as_micros().saturating_sub(entered);
+            }
+            SpanKind::Event => {
+                let lane = entry
+                    .stakeholder
+                    .as_deref()
+                    .or_else(|| stake_stack.last().map(|(l, _)| l.as_str()))
+                    .unwrap_or(UNATTRIBUTED);
+                if !stakeholders.contains_key(lane) {
+                    stakeholders.insert(lane.to_owned(), StakeholderCost::default());
+                }
+                let c = stakeholders.get_mut(lane).expect("lane just ensured");
+                c.entries += 1;
+                c.events += 1;
+            }
+        }
+    }
+    stakeholders
+}
+
 proptest! {
+    /// Cost mode (borrowed parts, interned lanes) and Profile mode (owned
+    /// entries in the ring) observe the same stream: equal digests,
+    /// counters and stakeholder folds. Profile's prefix digests are the
+    /// ring replayed through `TraceEntry::absorb_into`, and its fold equals
+    /// the owned-`String` reference fold over the ring.
+    #[test]
+    fn cost_and_profile_capture_agree(steps in arb_steps()) {
+        let cost = capture(ObsMode::Cost, &steps);
+        let profile = capture(ObsMode::Profile, &steps);
+        prop_assert_eq!(cost.digest, profile.digest);
+        prop_assert_eq!(cost.trace_entries, profile.trace_entries);
+        prop_assert_eq!(cost.spans_entered, profile.spans_entered);
+        prop_assert_eq!(cost.spans_exited, profile.spans_exited);
+        prop_assert_eq!(&cost.stakeholders, &profile.stakeholders);
+
+        prop_assert_eq!(profile.ring.len() as u64, profile.trace_entries);
+        prop_assert_eq!(profile.prefix_digests.len(), profile.ring.len());
+        let mut h = Fnv1a::new();
+        for (i, entry) in profile.ring.iter().enumerate() {
+            entry.absorb_into(&mut h);
+            prop_assert_eq!(h.finish(), profile.prefix_digests[i], "prefix {}", i);
+        }
+        prop_assert_eq!(&profile.stakeholders, &string_lane_fold(&profile.ring));
+    }
+
     /// Span nesting is balanced under any action sequence: exits never
     /// outnumber enters, the open-span count is exactly the difference,
     /// and exiting with nothing open is a no-op rather than a panic.
