@@ -51,6 +51,7 @@ timed_test "experiments/prop_recovery"     -p tussle-experiments --test prop_rec
 timed_test "experiments/recovery_oracle"   -p tussle-experiments --test recovery_oracle
 timed_test "game/prop_games"               -p tussle-game        --test prop_games
 timed_test "names/prop_names"              -p tussle-names       --test prop_names
+timed_test "net/oracle_forwarding"         -p tussle-net         --test oracle_forwarding
 timed_test "net/prop_fastpath"             -p tussle-net         --test prop_fastpath
 timed_test "net/prop_net"                  -p tussle-net         --test prop_net
 timed_test "net/prop_traceback"            -p tussle-net         --test prop_traceback
@@ -418,10 +419,10 @@ if [[ -n "$untracked_corpus" ]]; then
 fi
 echo "corpus hygiene OK: every tests/corpus entry is tracked"
 
-echo "==> perf baseline: BENCH_sim.json from the obs + sweep + net + checkpoint + fuzz benches"
+echo "==> perf baseline: BENCH_sim.json from the obs + sweep + net + checkpoint + fuzz + substrates benches"
 bench_jsonl="$(mktemp)"
 trap 'rm -f "$bench_jsonl"' EXIT
-CRITERION_JSON="$bench_jsonl" cargo bench -p tussle-bench --bench obs --bench sweep --bench net --bench checkpoint --bench fuzz
+CRITERION_JSON="$bench_jsonl" cargo bench -p tussle-bench --bench obs --bench sweep --bench net --bench checkpoint --bench fuzz --bench substrates
 jq -s 'sort_by(.bench)' "$bench_jsonl" > BENCH_sim.json
 jq -e '
   (length >= 12)
@@ -432,6 +433,7 @@ jq -e '
   and ([.[].bench] | any(startswith("net/")))
   and ([.[].bench] | any(startswith("checkpoint/")))
   and ([.[].bench] | any(startswith("fuzz/")))
+  and ([.[].bench] | any(startswith("layer/")))
 ' BENCH_sim.json > /dev/null
 echo "perf baseline OK: $(jq length BENCH_sim.json) benches recorded in BENCH_sim.json"
 

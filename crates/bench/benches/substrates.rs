@@ -1,6 +1,7 @@
 //! Microbenchmarks for every substrate the experiments run on: the event
 //! engine, forwarding, routing protocols, the policy language, the game
-//! solvers, the market, the ledger and the actor network.
+//! solvers, the market, the ledger and the actor network. Bench ids read
+//! `layer/<crate>/<name>`; ci.sh records them in `BENCH_sim.json`.
 //!
 //! ```sh
 //! cargo bench -p tussle-bench --bench substrates
@@ -21,7 +22,7 @@ use tussle_routing::{AsGraph, LinkStateProtocol};
 use tussle_sim::{Engine, SimRng, SimTime};
 
 fn bench_engine(c: &mut Criterion) {
-    c.bench_function("sim/engine 10k events", |b| {
+    c.bench_function("layer/sim/engine_10k_events", |b| {
         b.iter(|| {
             let mut eng: Engine<u64> = Engine::new(0, 1);
             fn tick(w: &mut u64, ctx: &mut tussle_sim::Ctx<u64>) {
@@ -42,7 +43,7 @@ fn bench_fib(c: &mut Criterion) {
     for i in 0..1_000u32 {
         fib.install(Prefix::new(i << 12, 24), NodeId(i % 16), i);
     }
-    c.bench_function("net/fib lookup in 1k routes", |b| {
+    c.bench_function("layer/net/fib_lookup_1k", |b| {
         b.iter(|| {
             let mut hits = 0;
             for i in 0..1_000u32 {
@@ -77,7 +78,7 @@ fn line_network(n: usize) -> (Network, NodeId, Address, Address) {
 fn bench_forwarding(c: &mut Criterion) {
     let (mut net, first, src, dst) = line_network(32);
     let mut rng = SimRng::seed_from_u64(1);
-    c.bench_function("net/forward across 32 hops", |b| {
+    c.bench_function("layer/net/forward_32_hops", |b| {
         b.iter(|| {
             let pkt = Packet::new(src, dst, Protocol::Tcp, 1, ports::HTTP);
             black_box(net.send(first, pkt, &mut rng).delivered)
@@ -100,13 +101,13 @@ fn bench_spf(c: &mut Criterion) {
         net.connect(grid[i], grid[50 + i], SimTime::from_millis(2), 1_000_000_000);
     }
     let ls = LinkStateProtocol::spanning(&net);
-    c.bench_function("routing/spf over 100 nodes", |b| {
+    c.bench_function("layer/routing/spf_100_nodes", |b| {
         b.iter(|| black_box(ls.path(&net, grid[0], grid[99])))
     });
 }
 
 fn bench_path_vector(c: &mut Criterion) {
-    c.bench_function("routing/path-vector 50-AS convergence", |b| {
+    c.bench_function("layer/routing/path_vector_50_as", |b| {
         b.iter(|| {
             let mut g = AsGraph::new();
             // two tier-1s, ten mid-tier, stubs below
@@ -135,10 +136,10 @@ fn bench_policy(c: &mut Criterion) {
         .with("encrypted", true)
         .with("anonymous", false)
         .with("tos", 5i64);
-    c.bench_function("policy/eval compound condition", |b| {
+    c.bench_function("layer/policy/eval_compound", |b| {
         b.iter(|| black_box(expr.matches(&req, &ont).unwrap()))
     });
-    c.bench_function("policy/parse compound condition", |b| {
+    c.bench_function("layer/policy/parse_compound", |b| {
         b.iter(|| {
             black_box(
                 parse_expr(r#"(a == 1 && b in [2, 3]) || !(c != "x")"#)
@@ -149,7 +150,7 @@ fn bench_policy(c: &mut Criterion) {
 }
 
 fn bench_games(c: &mut Criterion) {
-    c.bench_function("game/fictitious play 1k rounds", |b| {
+    c.bench_function("layer/game/fictitious_play_1k", |b| {
         b.iter(|| {
             let g = Game::zero_sum(vec![vec![1.0, -1.0], vec![-1.0, 1.0]]);
             let mut fp = FictitiousPlay::new(g);
@@ -160,7 +161,7 @@ fn bench_games(c: &mut Criterion) {
 }
 
 fn bench_market(c: &mut Criterion) {
-    c.bench_function("econ/market 20 consumers x 20 months", |b| {
+    c.bench_function("layer/econ/market_20x20", |b| {
         b.iter(|| {
             let consumers: Vec<Consumer> = (0..20)
                 .map(|id| Consumer {
@@ -183,7 +184,7 @@ fn bench_market(c: &mut Criterion) {
 }
 
 fn bench_ledger(c: &mut Criterion) {
-    c.bench_function("econ/ledger 1k transfers", |b| {
+    c.bench_function("layer/econ/ledger_1k_transfers", |b| {
         b.iter(|| {
             let mut l = Ledger::new();
             let accounts: Vec<_> = (0..16).map(tussle_econ::AccountId).collect();
@@ -203,7 +204,7 @@ fn bench_ledger(c: &mut Criterion) {
 }
 
 fn bench_escalation(c: &mut Criterion) {
-    c.bench_function("core/escalation ladder", |b| {
+    c.bench_function("layer/core/escalation_ladder", |b| {
         b.iter(|| black_box(EscalationLadder::play_to_the_end(Mechanism::QosPortBased, 10)))
     });
 }
@@ -218,7 +219,7 @@ fn bench_sourceroute(c: &mut Criterion) {
         }
     }
     let prices: BTreeMap<Asn, u64> = (0..6u32).map(|m| (Asn(10 + m), 100 + m as u64)).collect();
-    c.bench_function("routing/enumerate paths (6 transits)", |b| {
+    c.bench_function("layer/routing/enumerate_paths_6", |b| {
         b.iter(|| {
             black_box(
                 tussle_routing::sourceroute::enumerate_paths(&g, Asn(1), Asn(2), 5, &prices).len(),
@@ -247,11 +248,11 @@ fn churned_e12() -> ActorNetwork {
 }
 
 fn bench_actors(c: &mut Criterion) {
-    c.bench_function("actors/churn 600 steps at rate 2", |b| {
+    c.bench_function("layer/actors/churn_600_steps", |b| {
         b.iter(|| black_box(churned_e12().active_count()))
     });
     let net = churned_e12();
-    c.bench_function("actors/tussle energy after churn", |b| {
+    c.bench_function("layer/actors/tussle_energy", |b| {
         b.iter(|| black_box(black_box(&net).tussle_energy()))
     });
 }

@@ -103,9 +103,10 @@ impl DeliveryReport {
 /// In BFS scratch, the marker for "not yet visited".
 const UNVISITED: u32 = u32::MAX;
 
-/// Multiply–xorshift hasher for the route memo's fixed-width `(u32, u32)`
-/// keys. SipHash's DoS resistance buys nothing against our own node ids
-/// and costs real time on every forwarded hop.
+/// Multiply–xorshift hasher for the fixed-width `(u32, u32)` keys of the
+/// route memo and the endpoint-pair index. SipHash's DoS resistance buys
+/// nothing against our own node ids and costs real time on every
+/// forwarded hop.
 #[derive(Debug, Default, Clone)]
 struct PairHasher(u64);
 
@@ -125,6 +126,11 @@ impl std::hash::Hasher for PairHasher {
 }
 
 type PairBuild = std::hash::BuildHasherDefault<PairHasher>;
+
+/// The endpoint-pair index key: both orders of a pair share one entry.
+fn pair_key(a: NodeId, b: NodeId) -> (u32, u32) {
+    (a.0.min(b.0), a.0.max(b.0))
+}
 
 /// Fast-path state for [`Network::next_hop_toward`]: a generation-stamped
 /// memo of first hops plus reusable BFS buffers, so steady-state
@@ -204,9 +210,11 @@ pub struct Network {
     /// crashes/restores, FIB writes, and any `link_mut` borrow, since the
     /// caller may flip `up`). Stamps [`RouteCache`] entries.
     generation: u64,
-    /// `(min endpoint, max endpoint)` → incident link ids in creation
-    /// order; the index behind [`Network::link_between`].
-    pair_links: BTreeMap<(NodeId, NodeId), Vec<LinkId>>,
+    /// `(min endpoint, max endpoint)` → the first link created between
+    /// them; the index behind [`Network::link_between`]. Like the route
+    /// memo it is probed only by exact key, never iterated, and left out
+    /// of `state_digest`.
+    pair_links: HashMap<(u32, u32), LinkId, PairBuild>,
     /// Next-hop memo + BFS scratch. Interior-mutable because lookups run
     /// behind `&self`; `Network` is not shared across threads (each sweep
     /// worker owns its world), so a `RefCell` suffices.
@@ -288,8 +296,7 @@ impl Network {
         self.links.push(Link::new(id, a, b, latency, bandwidth_bps));
         self.adj[a.index()].push(id);
         self.adj[b.index()].push(id);
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.pair_links.entry(key).or_default().push(id);
+        self.pair_links.entry(pair_key(a, b)).or_insert(id);
         self.bump_generation();
         id
     }
@@ -414,12 +421,19 @@ impl Network {
     }
 
     /// The up link between two nodes, if any — the lowest-id up link when
-    /// parallel links exist, matching the old adjacency-scan order (links
-    /// enter `adj` in increasing id order). Served from the incrementally
-    /// maintained endpoint-pair index, not a scan.
+    /// parallel links exist, matching the adjacency-scan order (links
+    /// enter `adj` in increasing id order). Served by one probe of the
+    /// endpoint-pair index; only when the pair's first link is down does
+    /// it scan `a`'s adjacency for an up parallel link.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<&Link> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.pair_links.get(&key)?.iter().map(|l| &self.links[l.index()]).find(|l| l.up)
+        let first = &self.links[self.pair_links.get(&pair_key(a, b))?.index()];
+        if first.up {
+            return Some(first);
+        }
+        self.adj[a.index()]
+            .iter()
+            .map(|l| &self.links[l.index()])
+            .find(|l| l.up && l.other_end(a) == Some(b))
     }
 
     /// Forwarding table of a node.
@@ -603,7 +617,10 @@ impl Network {
         now: SimTime,
         rng: &mut SimRng,
     ) -> DeliveryReport {
-        let mut path = vec![from];
+        // A packet takes at most `min(ttl, max_hops)` hops, so the path
+        // never regrows.
+        let mut path = Vec::with_capacity(usize::from(pkt.ttl).min(self.max_hops) + 1);
+        path.push(from);
         let mut latency = SimTime::ZERO;
         let mut corrupted = false;
         // Cursor into the borrowed source route: waypoints are consumed by

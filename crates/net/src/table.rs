@@ -6,16 +6,24 @@
 //! §V.A.1). Experiment E1 reports `Fib::len` across addressing modes.
 //!
 //! Entries are kept sorted by `(prefix length desc, metric asc, install
-//! order)`, so [`Fib::lookup`] is a forward scan whose *first* match is the
-//! winner. Sorted storage is what makes the selection rule stable: among
-//! equal-length, equal-metric candidates the earliest-installed entry wins,
-//! and it keeps winning until it is itself withdrawn — re-adding a
-//! competitor never steals the slot (see [`Fib::install`]).
+//! order)`, at most one per prefix. Sorted storage is what makes the
+//! selection rule stable: among equal-length, equal-metric candidates the
+//! earliest-installed entry wins, and it keeps winning until it is itself
+//! withdrawn — re-adding a competitor never steals the slot (see
+//! [`Fib::install`]).
+//!
+//! [`Fib::lookup`] does not scan the entries. Entries of one prefix length
+//! form a contiguous run, and since no two of them share a prefix, at most
+//! one can contain a destination: the one whose bits equal the destination
+//! masked to that length. An index keeps each run's prefix bits sorted, so
+//! a lookup is one binary search per distinct prefix length, longest first,
+//! and its first hit is the entry a forward scan would have met first.
 
 use crate::addr::Prefix;
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::cmp::Reverse;
+use std::ops::Range;
 
 /// One forwarding entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,9 +45,23 @@ impl FibEntry {
 }
 
 /// A forwarding table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Fib {
     entries: Vec<FibEntry>,
+    /// `(prefix bits, position in entries)` of every entry: run by run in
+    /// the same spans as `entries`, sorted by bits within each run.
+    index: Vec<(u32, u32)>,
+    /// The runs of equal prefix length, longest first.
+    runs: Vec<Run>,
+}
+
+/// A run of equal-length prefixes. It spans `entries` and `index` from the
+/// previous run's `end` (or 0) up to its own.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// The run's prefix length as a netmask.
+    mask: u32,
+    end: u32,
 }
 
 impl Fib {
@@ -57,41 +79,62 @@ impl Fib {
     /// forwards traffic never depends on a later remove/re-add of some
     /// *other* equal-cost route.
     pub fn install(&mut self, prefix: Prefix, next_hop: NodeId, metric: u32) {
-        if let Some(i) = self.entries.iter().position(|e| e.prefix == prefix) {
+        if let Ok(slot) = self.slot(prefix) {
+            let i = self.index[slot].1 as usize;
             if metric >= self.entries[i].metric {
                 return; // incumbent wins ties and beats worse routes
             }
-            self.entries.remove(i);
+            self.remove_at(i);
         }
         let entry = FibEntry { prefix, next_hop, metric };
         // Insert after all entries with the same key: first-installed stays
         // first in its equivalence class.
         let pos = self.entries.partition_point(|e| e.sort_key() <= entry.sort_key());
+        let slot = self.slot(prefix).expect_err("no entry holds the prefix by now");
+        for (_, at) in &mut self.index {
+            if *at >= pos as u32 {
+                *at += 1;
+            }
+        }
+        self.index.insert(slot, (prefix.bits(), pos as u32));
         self.entries.insert(pos, entry);
+        self.rebuild_runs();
     }
 
     /// Remove all routes for a prefix. Returns how many entries were removed.
     pub fn withdraw(&mut self, prefix: Prefix) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.prefix != prefix);
-        before - self.entries.len()
+        let Ok(slot) = self.slot(prefix) else {
+            return 0;
+        };
+        self.remove_at(self.index[slot].1 as usize);
+        1
     }
 
     /// Remove every route via a next hop (e.g. a failed neighbor).
     pub fn withdraw_via(&mut self, next_hop: NodeId) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|e| e.next_hop != next_hop);
+        for i in (0..before).rev() {
+            if self.entries[i].next_hop == next_hop {
+                self.remove_at(i);
+            }
+        }
         before - self.entries.len()
     }
 
-    /// Longest-prefix-match lookup.
-    ///
-    /// Entries are sorted (prefix-len desc, metric asc, install order), so
-    /// the first containing entry *is* the longest match with the best
-    /// metric, and among full ties the first-installed route — no scan of
-    /// the remainder, no order instability.
+    /// Longest-prefix-match lookup: the longest match with the best
+    /// metric, and among full ties the first-installed route. Probes each
+    /// run's index for the destination's masked bits, longest run first.
     pub fn lookup(&self, dst: u32) -> Option<&FibEntry> {
-        self.entries.iter().find(|e| e.prefix.contains(dst))
+        let mut start = 0;
+        for run in &self.runs {
+            let end = run.end as usize;
+            let bits = &self.index[start..end];
+            if let Ok(k) = bits.binary_search_by_key(&(dst & run.mask), |&(b, _)| b) {
+                return Some(&self.entries[bits[k].1 as usize]);
+            }
+            start = end;
+        }
+        None
     }
 
     /// Number of entries — the table-size pressure metric.
@@ -112,6 +155,74 @@ impl Fib {
     /// Drop every entry.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.index.clear();
+        self.runs.clear();
+    }
+
+    /// The span of `entries` (and `index`) holding `len`-bit prefixes:
+    /// empty, where such a run would go, if there are none.
+    fn run_span(&self, len: u8) -> Range<usize> {
+        let start = self.entries.partition_point(|e| e.prefix.len() > len);
+        let end = self.entries.partition_point(|e| e.prefix.len() >= len);
+        start..end
+    }
+
+    /// Where `prefix` sits in `index`: `Ok` if an entry holds it, else
+    /// `Err` with the slot it would take.
+    fn slot(&self, prefix: Prefix) -> Result<usize, usize> {
+        let span = self.run_span(prefix.len());
+        self.index[span.clone()]
+            .binary_search_by_key(&prefix.bits(), |&(b, _)| b)
+            .map(|k| span.start + k)
+            .map_err(|k| span.start + k)
+    }
+
+    fn remove_at(&mut self, pos: usize) {
+        let slot = self.slot(self.entries[pos].prefix).expect("every entry is indexed");
+        self.index.remove(slot);
+        for (_, at) in &mut self.index {
+            if *at > pos as u32 {
+                *at -= 1;
+            }
+        }
+        self.entries.remove(pos);
+        self.rebuild_runs();
+    }
+
+    fn rebuild_runs(&mut self) {
+        self.runs.clear();
+        let mut end = 0;
+        for run in self.entries.chunk_by(|a, b| a.prefix.len() == b.prefix.len()) {
+            end += run.len() as u32;
+            self.runs.push(Run { mask: Prefix::new(u32::MAX, run[0].prefix.len()).bits(), end });
+        }
+    }
+}
+
+/// The derived form: `{"entries": [...]}`. The index is not serialized.
+impl Serialize for Fib {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![("entries".to_owned(), self.entries.to_value())])
+    }
+}
+
+/// Rebuilds the table by installing the entries in order, and rejects a
+/// list that [`Fib::install`] could not have produced: one out of
+/// `(length desc, metric asc)` order or holding a prefix twice.
+impl Deserialize for Fib {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let entries: Vec<FibEntry> = Deserialize::from_value(v.field("entries")?)?;
+        let mut fib = Fib::new();
+        for e in &entries {
+            fib.install(e.prefix, e.next_hop, e.metric);
+        }
+        if fib.entries != entries {
+            return Err(DeError(
+                "FIB entries must be sorted by (length desc, metric asc), one per prefix"
+                    .to_owned(),
+            ));
+        }
+        Ok(fib)
     }
 }
 
@@ -212,6 +323,7 @@ mod tests {
         assert_eq!(fib.withdraw_via(NodeId(1)), 1);
         assert_eq!(fib.len(), 1);
         assert!(fib.lookup(0x0c000001).is_some());
+        assert!(fib.lookup(0x0b000001).is_none(), "the withdrawn route must leave the index");
     }
 
     #[test]
@@ -221,5 +333,27 @@ mod tests {
         assert!(!fib.is_empty());
         fib.clear();
         assert!(fib.is_empty());
+        assert!(fib.lookup(0).is_none());
+    }
+
+    #[test]
+    fn serde_keeps_the_derived_form_and_rejects_unsorted_tables() {
+        let mut fib = Fib::new();
+        fib.install(Prefix::DEFAULT, NodeId(9), 0);
+        fib.install(p(0x0a000000, 8), NodeId(1), 3);
+        let json = serde_json::to_string(&fib).unwrap();
+        assert!(json.starts_with(r#"{"entries":[{"prefix":{"bits":167772160,"len":8}"#), "{json}");
+        let back: Fib = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_eq!(back.lookup(0x0a000001).unwrap().next_hop, NodeId(1));
+
+        let entries: Vec<FibEntry> = fib.entries().copied().collect();
+        let reversed = Value::Map(vec![(
+            "entries".to_owned(),
+            entries.iter().rev().copied().collect::<Vec<_>>().to_value(),
+        )]);
+        assert!(Fib::from_value(&reversed).is_err(), "shortest-first order is not a FIB");
+        let twice = Value::Map(vec![("entries".to_owned(), vec![entries[0]; 2].to_value())]);
+        assert!(Fib::from_value(&twice).is_err(), "a prefix may appear once");
     }
 }

@@ -435,7 +435,12 @@ impl Metrics {
     /// Increment a counter by `n`.
     pub fn add(&mut self, key: &str, n: u64) {
         obs::on_metric_counter(key, n);
-        *self.counters.entry(key.to_owned()).or_insert(0) += n;
+        // get_mut first: only a key's first write allocates its `String`.
+        if let Some(c) = self.counters.get_mut(key) {
+            *c += n;
+        } else {
+            self.counters.insert(key.to_owned(), n);
+        }
     }
 
     /// Increment a counter by one.
@@ -486,7 +491,13 @@ impl Metrics {
     /// Record a histogram sample.
     pub fn observe(&mut self, key: &str, value: f64) {
         obs::on_metric_observe(key, value);
-        self.histograms.entry(key.to_owned()).or_default().record(value);
+        if let Some(h) = self.histograms.get_mut(key) {
+            h.record(value);
+        } else {
+            let mut h = Histogram::new();
+            h.record(value);
+            self.histograms.insert(key.to_owned(), h);
+        }
     }
 
     /// Add `n` occurrences to the windowed virtual-time series `key` at
