@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 use serde::Serialize;
+use std::str::FromStr;
 use tussle_core::{EscalationLadder, Mechanism};
 use tussle_experiments as experiments;
 use tussle_sim::checkpoint::{self, CheckpointConfig, CheckpointPolicy};
@@ -297,10 +298,8 @@ fn run_health(bench_file: &str, baseline_file: &str) -> Result<HealthReport, Usa
 
     // Scoreboard probe: the per-stakeholder fold must conserve the run's
     // global trace-entry counter, and a named lane must have won.
-    let (name, run) = experiments::registry()
-        .into_iter()
-        .find(|(n, _)| *n == HEALTH_SCOREBOARD_PROBE)
-        .expect("the scoreboard probe experiment is registered");
+    let (name, run) = experiments::select(Some(&[HEALTH_SCOREBOARD_PROBE.to_owned()]))
+        .expect("the scoreboard probe experiment is registered")[0];
     let (report, record) = experiments::run_profiled(name, run, 2002);
     let scoreboard_entries =
         report.scoreboard.as_ref().map(tussle_core::Scoreboard::total_entries).unwrap_or(0);
@@ -454,7 +453,7 @@ pub enum Command {
         intensity_b: f64,
         /// Emit JSON instead of text.
         json: bool,
-        /// Worker-thread cap (`None` = one thread per side).
+        /// Worker-thread cap (`None` = available parallelism).
         threads: Option<usize>,
     },
     /// Dump the structured trace stream of one or more experiments.
@@ -638,23 +637,24 @@ fn parse_single_only(v: &str) -> Result<String, UsageError> {
     }
 }
 
-/// Parse a `--threads` worker count. Zero workers cannot make progress, so
-/// it is rejected uniformly across `sweep`, `chaos` and `diff`.
-fn parse_threads(v: &str) -> Result<usize, UsageError> {
-    let n: usize = v.parse().map_err(|_| UsageError(format!("bad thread count '{v}'")))?;
-    if n == 0 {
-        return Err(UsageError("--threads must be at least 1".into()));
-    }
-    Ok(n)
+/// Parse a `--seed` or `--seed-b` value.
+fn parse_seed(v: &str) -> Result<u64, UsageError> {
+    v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))
 }
 
-/// Parse an `--every` checkpoint interval. Zero would demand a snapshot
-/// between every pair of events and none at once, so it is rejected
-/// uniformly across `checkpoint` and `recovery`.
-fn parse_every(v: &str) -> Result<u64, UsageError> {
-    let n: u64 = v.parse().map_err(|_| UsageError(format!("bad checkpoint interval '{v}'")))?;
-    if n == 0 {
-        return Err(UsageError("--every must be at least 1".into()));
+/// Parse a count that must be at least 1 (`--seeds`, `--kills`,
+/// `--budget`, `--every`, `--threads`). Zero seeds, kill points or
+/// executions run nothing, zero workers make no progress, and a zero
+/// checkpoint interval would demand a snapshot between every pair of
+/// events and none at once.
+fn parse_count<T: FromStr + Default + PartialEq>(
+    flag: &str,
+    noun: &str,
+    v: &str,
+) -> Result<T, UsageError> {
+    let n: T = v.parse().map_err(|_| UsageError(format!("bad {noun} '{v}'")))?;
+    if n == T::default() {
+        return Err(UsageError(format!("{flag} must be at least 1")));
     }
     Ok(n)
 }
@@ -682,64 +682,166 @@ fn parse_intensities(v: &str) -> Result<Vec<f64>, UsageError> {
         .collect()
 }
 
+/// The flag table. Each command lists the `Flag`s it accepts and `scan`s
+/// its arguments against them; the flags several commands share are
+/// built here, once each.
+mod flag {
+    use super::{parse_count, parse_only, parse_seed, parse_single_only, UsageError};
+    use std::str::FromStr;
+
+    /// Checks a flag's value and stores it (a switch's setter ignores it).
+    type Setter<'a> = Box<dyn FnMut(&str) -> Result<(), UsageError> + 'a>;
+
+    /// One flag a command accepts, and what the scan does on reaching it.
+    pub(super) struct Flag<'a> {
+        name: &'static str,
+        /// What the flag's value should be, completing the message
+        /// "`name` needs ..." when it is missing; `None` for a switch,
+        /// which takes no value.
+        needs: Option<&'static str>,
+        set: Setter<'a>,
+    }
+
+    /// A flag that takes no value: reaching it turns `on` on.
+    pub(super) fn switch<'a>(name: &'static str, on: &'a mut bool) -> Flag<'a> {
+        Flag {
+            name,
+            needs: None,
+            set: Box::new(move |_| {
+                *on = true;
+                Ok(())
+            }),
+        }
+    }
+
+    /// A flag whose value `parse` checks and stores in `slot`.
+    pub(super) fn value<'a, T: 'a>(
+        name: &'static str,
+        needs: &'static str,
+        slot: &'a mut T,
+        parse: impl Fn(&str) -> Result<T, UsageError> + 'a,
+    ) -> Flag<'a> {
+        Flag {
+            name,
+            needs: Some(needs),
+            set: Box::new(move |v| {
+                *slot = parse(v)?;
+                Ok(())
+            }),
+        }
+    }
+
+    /// A flag whose value is taken as given: a file or directory path.
+    pub(super) fn path<'a, T: From<String> + 'a>(
+        name: &'static str,
+        needs: &'static str,
+        slot: &'a mut T,
+    ) -> Flag<'a> {
+        value(name, needs, slot, |v| Ok(T::from(v.to_owned())))
+    }
+
+    pub(super) fn json(on: &mut bool) -> Flag<'_> {
+        switch("--json", on)
+    }
+
+    pub(super) fn seed(slot: &mut u64) -> Flag<'_> {
+        value("--seed", "a value", slot, parse_seed)
+    }
+
+    /// A count flag: a number that must be at least 1 ([`parse_count`]).
+    pub(super) fn count<'a, T: FromStr + Default + PartialEq + 'a>(
+        name: &'static str,
+        needs: &'static str,
+        noun: &'static str,
+        slot: &'a mut T,
+    ) -> Flag<'a> {
+        value(name, needs, slot, move |v| parse_count(name, noun, v))
+    }
+
+    pub(super) fn seeds(slot: &mut u64) -> Flag<'_> {
+        count("--seeds", "a count", "seed count", slot)
+    }
+
+    pub(super) fn base(slot: &mut u64) -> Flag<'_> {
+        value("--base", "a seed", slot, |v| {
+            v.parse().map_err(|_| UsageError(format!("bad base seed '{v}'")))
+        })
+    }
+
+    /// `--only` as an id list (empty = every experiment).
+    pub(super) fn only(slot: &mut Vec<String>) -> Flag<'_> {
+        value("--only", "ids like E1,E4", slot, parse_only)
+    }
+
+    /// `--only` naming exactly one experiment.
+    pub(super) fn one_id(slot: &mut Option<String>) -> Flag<'_> {
+        value("--only", "one id like E9", slot, |v| parse_single_only(v).map(Some))
+    }
+
+    pub(super) fn threads(slot: &mut Option<usize>) -> Flag<'_> {
+        value("--threads", "a count", slot, |v| {
+            parse_count("--threads", "thread count", v).map(Some)
+        })
+    }
+
+    pub(super) fn every(slot: &mut u64) -> Flag<'_> {
+        count("--every", "an event count", "checkpoint interval", slot)
+    }
+
+    /// Scan `args` against `flags`. Each setter runs as the scan reaches
+    /// its flag, so the first bad argument is the one reported.
+    pub(super) fn scan<'s>(
+        mut args: impl Iterator<Item = &'s String>,
+        flags: &mut [Flag<'_>],
+    ) -> Result<(), UsageError> {
+        while let Some(arg) = args.next() {
+            let flag = flags
+                .iter_mut()
+                .find(|f| f.name == arg)
+                .ok_or_else(|| UsageError(format!("unknown flag '{arg}'")))?;
+            let v = match flag.needs {
+                None => "",
+                Some(needs) => {
+                    args.next().ok_or_else(|| UsageError(format!("{} needs {needs}", flag.name)))?
+                }
+            };
+            (flag.set)(v)?;
+        }
+        Ok(())
+    }
+}
+
 /// Parse the argument vector (without the binary name).
 pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
+    use flag::scan;
     let mut it = args.iter();
     match it.next().map(|s| s.as_str()) {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("list") => Ok(Command::List),
-        Some("mechanisms") => Ok(Command::Mechanisms),
+        Some("list") => scan(it, &mut []).map(|()| Command::List),
+        Some("mechanisms") => scan(it, &mut []).map(|()| Command::Mechanisms),
         Some("ladder") => {
             let name =
                 it.next().ok_or_else(|| UsageError("ladder needs a mechanism name".into()))?;
-            Ok(Command::Ladder { mechanism: parse_mechanism(name)? })
+            let mechanism = parse_mechanism(name)?;
+            scan(it, &mut [])?;
+            Ok(Command::Ladder { mechanism })
         }
         Some("experiments") => {
-            let mut seed = 2002u64;
-            let mut json = false;
-            let mut only = Vec::new();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--json" => json = true,
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let (mut seed, mut json, mut only) = (2002, false, Vec::new());
+            scan(it, &mut [flag::seed(&mut seed), flag::json(&mut json), flag::only(&mut only)])?;
             Ok(Command::Experiments { seed, json, only })
         }
         Some("profile") => {
-            let mut seed = 2002u64;
-            let mut json = false;
-            let mut collapsed = false;
-            let mut only = Vec::new();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--json" => json = true,
-                    "--collapsed" => collapsed = true,
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let (mut seed, mut json, mut collapsed, mut only) = (2002, false, false, Vec::new());
+            scan(
+                it,
+                &mut [
+                    flag::seed(&mut seed),
+                    flag::json(&mut json),
+                    flag::switch("--collapsed", &mut collapsed),
+                    flag::only(&mut only),
+                ],
+            )?;
             if collapsed && json {
                 return Err(UsageError(
                     "--collapsed emits flamegraph-ready text; it cannot combine with --json".into(),
@@ -748,87 +850,40 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             Ok(Command::Profile { seed, json, collapsed, only })
         }
         Some("explain") => {
-            let mut seed = 2002u64;
-            let mut json = false;
-            let mut id = None;
-            let mut event = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--json" => json = true,
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs one id like E9".into()))?;
-                        id = Some(parse_single_only(v)?);
-                    }
-                    "--event" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--event needs an id like e7".into()))?;
-                        event =
-                            Some(experiments::causality::parse_event_id(v).map_err(UsageError)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let (mut seed, mut json, mut id, mut event) = (2002, false, None, None);
+            scan(
+                it,
+                &mut [
+                    flag::seed(&mut seed),
+                    flag::json(&mut json),
+                    flag::one_id(&mut id),
+                    flag::value("--event", "an id like e7", &mut event, |v| {
+                        experiments::causality::parse_event_id(v).map(Some).map_err(UsageError)
+                    }),
+                ],
+            )?;
             let id = id.ok_or_else(|| UsageError("explain needs --only <experiment>".into()))?;
             let event = event.ok_or_else(|| UsageError("explain needs --event <id>".into()))?;
             Ok(Command::Explain { id, seed, event, json })
         }
         Some("diff") => {
-            let mut id = None;
-            let mut seed = 2002u64;
-            let mut seed_b = None;
-            let mut intensity = 0.0;
-            let mut intensity_b = None;
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs one id like E9".into()))?;
-                        id = Some(parse_single_only(v)?);
-                    }
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--seed-b" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed-b needs a value".into()))?;
-                        seed_b =
-                            Some(v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?);
-                    }
-                    "--intensity" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--intensity needs a value".into()))?;
-                        intensity = parse_intensity(v)?;
-                    }
-                    "--intensity-b" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--intensity-b needs a value".into()))?;
-                        intensity_b = Some(parse_intensity(v)?);
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let (mut id, mut seed, mut seed_b, mut json, mut threads) =
+                (None, 2002, None, false, None);
+            let (mut intensity, mut intensity_b) = (0.0, None);
+            scan(
+                it,
+                &mut [
+                    flag::one_id(&mut id),
+                    flag::seed(&mut seed),
+                    flag::value("--seed-b", "a value", &mut seed_b, |v| parse_seed(v).map(Some)),
+                    flag::value("--intensity", "a value", &mut intensity, parse_intensity),
+                    flag::value("--intensity-b", "a value", &mut intensity_b, |v| {
+                        parse_intensity(v).map(Some)
+                    }),
+                    flag::json(&mut json),
+                    flag::threads(&mut threads),
+                ],
+            )?;
             let id = id.ok_or_else(|| UsageError("diff needs --only <experiment>".into()))?;
             // Unspecified B-side knobs mirror side A, so `--seed-b` alone
             // diffs seeds and `--intensity-b` alone diffs intensities.
@@ -842,364 +897,155 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             Ok(Command::Diff { id, seed, seed_b, intensity, intensity_b, json, threads })
         }
         Some("trace") => {
-            let mut seed = 2002u64;
-            let mut only = Vec::new();
-            let mut grep = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--grep" => {
-                        let v = it.next().ok_or_else(|| {
-                            UsageError("--grep needs a topic prefix like econ.".into())
-                        })?;
+            let (mut seed, mut only, mut grep, mut json) = (2002, Vec::new(), None, false);
+            scan(
+                it,
+                &mut [
+                    flag::seed(&mut seed),
+                    flag::only(&mut only),
+                    flag::value("--grep", "a topic prefix like econ.", &mut grep, |v| {
                         if v.is_empty() {
                             return Err(UsageError("--grep needs a nonempty prefix".into()));
                         }
-                        grep = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+                        Ok(Some(v.to_owned()))
+                    }),
+                    flag::json(&mut json),
+                ],
+            )?;
             Ok(Command::Trace { seed, only, grep, json })
         }
         Some("export") => {
-            let mut seed = 2002u64;
-            let mut only = Vec::new();
+            let (mut seed, mut only, mut out, mut threads) = (2002, Vec::new(), None, None);
             let mut format = "chrome".to_owned();
-            let mut out = None;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--format" => {
-                        let v = it.next().ok_or_else(|| {
-                            UsageError("--format needs chrome, prom or jsonl".into())
-                        })?;
-                        match v.as_str() {
-                            "chrome" | "prom" | "jsonl" => format = v.clone(),
-                            other => {
-                                return Err(UsageError(format!(
-                                "unknown export format '{other}': expected chrome, prom or jsonl"
-                            )))
-                            }
-                        }
-                    }
-                    "--out" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--out needs a file path".into()))?;
-                        out = Some(v.clone());
-                    }
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            scan(
+                it,
+                &mut [
+                    flag::seed(&mut seed),
+                    flag::only(&mut only),
+                    flag::value("--format", "chrome, prom or jsonl", &mut format, |v| match v {
+                        "chrome" | "prom" | "jsonl" => Ok(v.to_owned()),
+                        other => Err(UsageError(format!(
+                            "unknown export format '{other}': expected chrome, prom or jsonl"
+                        ))),
+                    }),
+                    flag::path("--out", "a file path", &mut out),
+                    flag::threads(&mut threads),
+                ],
+            )?;
             Ok(Command::Export { seed, only, format, out, threads })
         }
         Some("health") => {
-            let mut bench = "BENCH_sim.json".to_owned();
-            let mut baseline = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--bench" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--bench needs a sidecar file".into()))?;
-                        bench = v.clone();
-                    }
-                    "--baseline" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--baseline needs a sidecar file".into()))?;
-                        baseline = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let (mut bench, mut baseline, mut json) = ("BENCH_sim.json".to_owned(), None, false);
+            scan(
+                it,
+                &mut [
+                    flag::path("--bench", "a sidecar file", &mut bench),
+                    flag::path("--baseline", "a sidecar file", &mut baseline),
+                    flag::json(&mut json),
+                ],
+            )?;
             Ok(Command::Health { bench, baseline, json })
         }
         Some("sweep") => {
-            let mut seeds = 32u64;
-            let mut base_seed = 1u64;
-            let mut only = Vec::new();
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seeds" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seeds needs a count".into()))?;
-                        seeds =
-                            v.parse().map_err(|_| UsageError(format!("bad seed count '{v}'")))?;
-                        if seeds == 0 {
-                            return Err(UsageError("--seeds must be at least 1".into()));
-                        }
-                    }
-                    "--base" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--base needs a seed".into()))?;
-                        base_seed =
-                            v.parse().map_err(|_| UsageError(format!("bad base seed '{v}'")))?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let (mut seeds, mut base_seed, mut only, mut json, mut threads) =
+                (32, 1, Vec::new(), false, None);
+            scan(
+                it,
+                &mut [
+                    flag::seeds(&mut seeds),
+                    flag::base(&mut base_seed),
+                    flag::only(&mut only),
+                    flag::json(&mut json),
+                    flag::threads(&mut threads),
+                ],
+            )?;
             Ok(Command::Sweep { seeds, base_seed, only, json, threads })
         }
         Some("chaos") => {
-            let defaults = experiments::ChaosConfig::default();
-            let mut intensities = defaults.intensities;
-            let mut seeds = defaults.seeds;
-            let mut base_seed = defaults.base_seed;
-            let mut only = Vec::new();
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--intensities" => {
-                        let v = it.next().ok_or_else(|| {
-                            UsageError("--intensities needs values like 0,0.2,0.5".into())
-                        })?;
-                        intensities = parse_intensities(v)?;
-                    }
-                    "--seeds" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seeds needs a count".into()))?;
-                        seeds =
-                            v.parse().map_err(|_| UsageError(format!("bad seed count '{v}'")))?;
-                        if seeds == 0 {
-                            return Err(UsageError("--seeds must be at least 1".into()));
-                        }
-                    }
-                    "--base" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--base needs a seed".into()))?;
-                        base_seed =
-                            v.parse().map_err(|_| UsageError(format!("bad base seed '{v}'")))?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let experiments::ChaosConfig { mut intensities, mut seeds, mut base_seed, .. } =
+                experiments::ChaosConfig::default();
+            let (mut only, mut json, mut threads) = (Vec::new(), false, None);
+            scan(
+                it,
+                &mut [
+                    flag::value(
+                        "--intensities",
+                        "values like 0,0.2,0.5",
+                        &mut intensities,
+                        parse_intensities,
+                    ),
+                    flag::seeds(&mut seeds),
+                    flag::base(&mut base_seed),
+                    flag::only(&mut only),
+                    flag::json(&mut json),
+                    flag::threads(&mut threads),
+                ],
+            )?;
             Ok(Command::Chaos { intensities, seeds, base_seed, only, json, threads })
         }
         Some("checkpoint") => {
-            let mut id = None;
-            let mut seed = 2002u64;
-            let mut every = 500u64;
-            let mut dir = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs one id like E9".into()))?;
-                        id = Some(parse_single_only(v)?);
-                    }
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--every" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--every needs an event count".into()))?;
-                        every = parse_every(v)?;
-                    }
-                    "--dir" => {
-                        let v = it.next().ok_or_else(|| UsageError("--dir needs a path".into()))?;
-                        dir = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let (mut id, mut seed, mut every, mut dir, mut json) = (None, 2002, 500, None, false);
+            scan(
+                it,
+                &mut [
+                    flag::one_id(&mut id),
+                    flag::seed(&mut seed),
+                    flag::every(&mut every),
+                    flag::path("--dir", "a path", &mut dir),
+                    flag::json(&mut json),
+                ],
+            )?;
             let id = id.ok_or_else(|| UsageError("checkpoint needs --only <experiment>".into()))?;
             let dir = dir.ok_or_else(|| UsageError("checkpoint needs --dir <directory>".into()))?;
             Ok(Command::Checkpoint { id, seed, every, dir, json })
         }
         Some("resume") => {
-            let mut from = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--from" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--from needs a snapshot file".into()))?;
-                        from = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let (mut from, mut json) = (None, false);
+            scan(
+                it,
+                &mut [flag::path("--from", "a snapshot file", &mut from), flag::json(&mut json)],
+            )?;
             let from = from.ok_or_else(|| UsageError("resume needs --from <snapshot>".into()))?;
             Ok(Command::Resume { from, json })
         }
         Some("recovery") => {
-            let defaults = experiments::RecoveryConfig::default();
-            let mut seeds = defaults.seeds;
-            let mut base_seed = defaults.base_seed;
-            let mut kills = defaults.kill_points;
-            let mut every = defaults.every;
-            let mut only = Vec::new();
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seeds" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seeds needs a count".into()))?;
-                        seeds =
-                            v.parse().map_err(|_| UsageError(format!("bad seed count '{v}'")))?;
-                        if seeds == 0 {
-                            return Err(UsageError("--seeds must be at least 1".into()));
-                        }
-                    }
-                    "--base" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--base needs a seed".into()))?;
-                        base_seed =
-                            v.parse().map_err(|_| UsageError(format!("bad base seed '{v}'")))?;
-                    }
-                    "--kills" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--kills needs a count".into()))?;
-                        kills =
-                            v.parse().map_err(|_| UsageError(format!("bad kill count '{v}'")))?;
-                        if kills == 0 {
-                            return Err(UsageError("--kills must be at least 1".into()));
-                        }
-                    }
-                    "--every" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--every needs an event count".into()))?;
-                        every = parse_every(v)?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let experiments::RecoveryConfig {
+                mut seeds,
+                mut base_seed,
+                kill_points: mut kills,
+                mut every,
+                ..
+            } = experiments::RecoveryConfig::default();
+            let (mut only, mut json, mut threads) = (Vec::new(), false, None);
+            scan(
+                it,
+                &mut [
+                    flag::seeds(&mut seeds),
+                    flag::base(&mut base_seed),
+                    flag::count("--kills", "a count", "kill count", &mut kills),
+                    flag::every(&mut every),
+                    flag::only(&mut only),
+                    flag::json(&mut json),
+                    flag::threads(&mut threads),
+                ],
+            )?;
             Ok(Command::Recovery { seeds, base_seed, kills, every, only, json, threads })
         }
         Some("fuzz") => {
-            let defaults = experiments::FuzzConfig::default();
-            let mut budget = defaults.budget;
-            let mut seeds = defaults.seeds;
-            let mut base_seed = defaults.base_seed;
-            let mut corpus = None;
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--budget" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--budget needs a count".into()))?;
-                        budget = v.parse().map_err(|_| UsageError(format!("bad budget '{v}'")))?;
-                        if budget == 0 {
-                            return Err(UsageError("--budget must be at least 1".into()));
-                        }
-                    }
-                    "--seeds" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seeds needs a count".into()))?;
-                        seeds =
-                            v.parse().map_err(|_| UsageError(format!("bad seed count '{v}'")))?;
-                        if seeds == 0 {
-                            return Err(UsageError("--seeds must be at least 1".into()));
-                        }
-                    }
-                    "--base" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--base needs a seed".into()))?;
-                        base_seed =
-                            v.parse().map_err(|_| UsageError(format!("bad base seed '{v}'")))?;
-                    }
-                    "--corpus" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--corpus needs a directory".into()))?;
-                        corpus = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+            let experiments::FuzzConfig { mut budget, mut seeds, mut base_seed, .. } =
+                experiments::FuzzConfig::default();
+            let (mut corpus, mut json, mut threads) = (None, false, None);
+            scan(
+                it,
+                &mut [
+                    flag::count("--budget", "a count", "budget", &mut budget),
+                    flag::seeds(&mut seeds),
+                    flag::base(&mut base_seed),
+                    flag::path("--corpus", "a directory", &mut corpus),
+                    flag::json(&mut json),
+                    flag::threads(&mut threads),
+                ],
+            )?;
             Ok(Command::Fuzz { budget, seeds, base_seed, corpus, json, threads })
         }
         Some(other) => Err(UsageError(format!("unknown command '{other}'; try `tussle-cli help`"))),
@@ -1400,12 +1246,8 @@ pub fn execute(cmd: Command) -> Result<String, UsageError> {
             Ok(if json { report.to_json() } else { report.to_markdown() })
         }
         Command::Checkpoint { id, seed, every, dir, json } => {
-            let (name, run) = experiments::registry()
-                .into_iter()
-                .find(|(n, _)| n.eq_ignore_ascii_case(&id))
-                .ok_or_else(|| {
-                    UsageError(format!("unknown experiment '{id}'; run `tussle-cli list`"))
-                })?;
+            let (name, run) = experiments::select(Some(std::slice::from_ref(&id)))
+                .map_err(|e| UsageError(e.to_string()))?[0];
             let guard = checkpoint::begin(
                 CheckpointConfig::new(CheckpointPolicy::every_n_events(every))
                     .dir(&dir)
@@ -1506,13 +1348,11 @@ pub fn execute(cmd: Command) -> Result<String, UsageError> {
             Ok(if json { report.to_json() } else { report.to_markdown() })
         }
         Command::Experiments { seed, json, only } => {
-            let reports: Vec<_> = experiments::run_all_parallel(seed)
-                .into_iter()
-                .filter(|r| only.is_empty() || only.contains(&r.id))
-                .collect();
-            if reports.is_empty() {
-                return Err(UsageError(format!("no experiments match {only:?}")));
-            }
+            let selected = experiments::select((!only.is_empty()).then_some(&only[..]))
+                .map_err(|e| UsageError(e.to_string()))?;
+            let reports = experiments::grid::par_map(&selected, None, |&(name, run)| {
+                experiments::run_captured(name, run, seed)
+            });
             if json {
                 let all: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
                 Ok(format!("[{}]", all.join(",\n")))
@@ -2338,7 +2178,72 @@ mod tests {
     fn unknown_subset_errors() {
         let err = execute(Command::Experiments { seed: 1, json: false, only: vec!["E99".into()] })
             .unwrap_err();
-        assert!(err.0.contains("no experiments match"));
+        assert_eq!(err.0, "unknown experiment `E99` (the registry has E1..=E17)");
+    }
+
+    #[test]
+    fn experiments_only_names_the_unknown_id_in_a_mixed_list() {
+        let cmd = parse_args(&args("experiments --only E1,E99")).unwrap();
+        let err = execute(cmd).unwrap_err();
+        assert_eq!(err.0, "unknown experiment `E99` (the registry has E1..=E17)");
+    }
+
+    #[test]
+    fn experiments_only_keeps_request_order() {
+        let out = execute(parse_args(&args("experiments --only E5,E1")).unwrap()).unwrap();
+        assert!(out.starts_with("2/2 shapes hold (seed 2002)"), "{out}");
+        let headings: Vec<&str> = out.lines().filter(|l| l.starts_with("## ")).collect();
+        assert_eq!(headings, ["## E5 — §V.A.4", "## E1 — §V.A.1"], "{out}");
+    }
+
+    #[test]
+    fn flagless_commands_reject_trailing_arguments() {
+        for (argv, flag) in [
+            ("list --json", "--json"),
+            ("mechanisms --only E1", "--only"),
+            ("ladder nat --json", "--json"),
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert_eq!(err.0, format!("unknown flag '{flag}'"), "{argv}");
+        }
+        assert_eq!(parse_args(&args("help --json")).unwrap(), Command::Help);
+    }
+
+    /// The usage text and the parser list the same flags: for each
+    /// `tussle-cli <cmd>` line of [`USAGE`], every flag named anywhere in
+    /// the text is rejected as unknown exactly when that line omits it.
+    #[test]
+    fn usage_and_parser_list_the_same_flags() {
+        let flag_in = |line: &str| -> Vec<String> {
+            line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--") && w.len() > 2)
+                .map(str::to_owned)
+                .collect()
+        };
+        let mut all = flag_in(USAGE);
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), 23, "{all:?}");
+        let lines: Vec<&str> =
+            USAGE.lines().filter_map(|l| l.strip_prefix("  tussle-cli ")).collect();
+        assert_eq!(lines.len(), 17);
+        for line in lines {
+            let cmd = line.split_whitespace().next().unwrap();
+            if cmd == "help" {
+                continue;
+            }
+            let listed = flag_in(line);
+            for flag in &all {
+                let mut argv = vec![cmd.to_owned()];
+                if cmd == "ladder" {
+                    argv.push("nat".to_owned());
+                }
+                argv.extend([flag.clone(), "1".to_owned()]);
+                let unknown =
+                    parse_args(&argv) == Err(UsageError(format!("unknown flag '{flag}'")));
+                assert_eq!(unknown, !listed.contains(flag), "tussle-cli {cmd} {flag}");
+            }
+        }
     }
 
     #[test]

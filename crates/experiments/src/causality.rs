@@ -21,7 +21,6 @@
 //! first divergence binary-searchable in `O(log n)` digest probes instead
 //! of an `O(n)` entry-by-entry walk.
 
-use crate::registry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tussle_sim::fault;
@@ -48,9 +47,7 @@ pub enum CausalityError {
 impl core::fmt::Display for CausalityError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            CausalityError::UnknownExperiment(id) => {
-                write!(f, "unknown experiment `{id}` (the registry has E1..=E17)")
-            }
+            CausalityError::UnknownExperiment(id) => crate::UnknownExperiment::fmt_id(id, f),
             CausalityError::NoEvents(id) => {
                 write!(f, "{id} dispatched no engine events at this seed; nothing to explain")
             }
@@ -78,10 +75,9 @@ pub fn parse_event_id(s: &str) -> Result<EventId, String> {
 }
 
 fn resolve(id: &str) -> Result<crate::ExperimentEntry, CausalityError> {
-    registry()
-        .into_iter()
-        .find(|(name, _)| name.eq_ignore_ascii_case(id))
-        .ok_or_else(|| CausalityError::UnknownExperiment(id.to_owned()))
+    crate::select(Some(&[id.to_owned()]))
+        .map(|entries| entries[0])
+        .map_err(|e| CausalityError::UnknownExperiment(e.0))
 }
 
 /// Replay one experiment under Profile observation at an ambient fault
@@ -262,9 +258,10 @@ pub struct DiffConfig {
     pub intensity_a: f64,
     /// Ambient fault intensity of side B, in `[0, 1]`.
     pub intensity_b: f64,
-    /// Worker-thread cap (`Some(1)` runs the sides sequentially; anything
-    /// else runs them on two scoped threads). The output is byte-identical
-    /// either way — observation and ambient intensity are thread-local.
+    /// Worker-thread cap for the two sides; `None` uses available
+    /// parallelism and `Some(1)` runs them in order on the calling thread.
+    /// The output is byte-identical either way — observation and ambient
+    /// intensity are thread-local.
     pub threads: Option<usize>,
 }
 
@@ -437,22 +434,11 @@ fn side_at(record: &RunRecord, index: u64) -> DiffSide {
 pub fn diff(config: &DiffConfig) -> Result<DiffReport, CausalityError> {
     let entry = resolve(&config.id)?;
     let name = entry.0.to_owned();
-    let sequential = config.threads == Some(1);
-    let (ra, rb) = if sequential {
-        (
-            run_side(entry, config.seed_a, config.intensity_a),
-            run_side(entry, config.seed_b, config.intensity_b),
-        )
-    } else {
-        std::thread::scope(|scope| {
-            let ha = scope.spawn(|| run_side(entry, config.seed_a, config.intensity_a));
-            let hb = scope.spawn(|| run_side(entry, config.seed_b, config.intensity_b));
-            (
-                ha.join().expect("diff side A does not panic"),
-                hb.join().expect("diff side B does not panic"),
-            )
-        })
-    };
+    let sides = [(config.seed_a, config.intensity_a), (config.seed_b, config.intensity_b)];
+    let [ra, rb]: [RunRecord; 2] =
+        crate::grid::par_map(&sides, config.threads, |&(seed, i)| run_side(entry, seed, i))
+            .try_into()
+            .expect("two sides in, two records out");
 
     let identical = ra.digest == rb.digest;
     let (within, probes) = first_divergence(&ra.prefix_digests, &rb.prefix_digests);

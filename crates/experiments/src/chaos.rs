@@ -12,9 +12,9 @@
 //!
 //! ## Determinism
 //!
-//! Same execution model as the sweep: workers steal `(experiment,
-//! intensity, seed)` jobs from a shared atomic index, results land in fixed
-//! slots, and the reduction walks the grid in a fixed order. Ambient
+//! Same execution model as the sweep: the `(experiment, intensity, seed)`
+//! jobs run on the job grid ([`crate::grid`]), results come back in job
+//! order, and the reduction walks them in that fixed order. Ambient
 //! intensity and fault tallies are thread-local and scoped to one job by
 //! [`tussle_sim::fault::AmbientGuard`], so job placement cannot leak state
 //! between runs. The rendered [`ChaosReport`] is byte-identical across
@@ -27,9 +27,9 @@
 //! becomes a synthetic failing report (counted in
 //! [`IntensityStats::panics`]) and the campaign completes regardless.
 
+use crate::grid::par_map;
 use crate::sweep::reduce_experiment;
-use crate::{registry, ExperimentEntry};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::ExperimentEntry;
 use tussle_core::report::{ChaosReport, IntensityStats, MarginStats};
 use tussle_core::ExperimentReport;
 use tussle_sim::fault;
@@ -86,9 +86,7 @@ impl core::fmt::Display for ChaosError {
             ChaosError::BadIntensity(i) => {
                 write!(f, "intensity {i} is not a number in [0, 1]")
             }
-            ChaosError::UnknownExperiment(id) => {
-                write!(f, "unknown experiment `{id}` (the registry has E1..=E17)")
-            }
+            ChaosError::UnknownExperiment(id) => crate::UnknownExperiment::fmt_id(id, f),
         }
     }
 }
@@ -98,21 +96,8 @@ impl std::error::Error for ChaosError {}
 /// Run the chaos campaign over the experiment registry (or the `only`
 /// subset). See the module docs for the execution model.
 pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, ChaosError> {
-    let full = registry();
-    let selected: Vec<ExperimentEntry> = match &config.only {
-        None => full,
-        Some(ids) => {
-            let mut picked = Vec::with_capacity(ids.len());
-            for id in ids {
-                let entry = full
-                    .iter()
-                    .find(|(name, _)| name.eq_ignore_ascii_case(id))
-                    .ok_or_else(|| ChaosError::UnknownExperiment(id.clone()))?;
-                picked.push(*entry);
-            }
-            picked
-        }
-    };
+    let selected =
+        crate::select(config.only.as_deref()).map_err(|e| ChaosError::UnknownExperiment(e.0))?;
     run_chaos_entries(&selected, config)
 }
 
@@ -139,19 +124,36 @@ pub fn run_chaos_entries(
     intensities.dedup();
 
     let seeds: Vec<u64> = (0..config.seeds).map(|i| config.base_seed.wrapping_add(i)).collect();
-    let grid = run_grid(entries, &intensities, &seeds, config.threads);
+    let seeds = &seeds;
+    let jobs: Vec<(ExperimentEntry, f64, u64)> = entries
+        .iter()
+        .flat_map(|&entry| {
+            intensities.iter().flat_map(move |&i| seeds.iter().map(move |&seed| (entry, i, seed)))
+        })
+        .collect();
+    let cells: Vec<ChaosCell> =
+        par_map(&jobs, config.threads, |&((name, run), intensity, seed)| {
+            // Scope the ambient intensity to exactly this run and start its
+            // fault tally from zero; the guard restores the thread's previous
+            // (fault-free) state either way.
+            let guard = fault::set_ambient_intensity(intensity);
+            let _ = fault::take_ambient_stats();
+            let (report, panicked) = crate::run_isolated(name, run, seed);
+            let faults = fault::take_ambient_stats();
+            drop(guard);
+            (report, panicked, faults)
+        });
 
     // Sequential reduction in fixed (experiment, intensity, seed) order;
     // nothing past this point depends on parallel scheduling.
     let experiments = entries
         .iter()
-        .enumerate()
-        .map(|(row, (name, _))| {
+        .zip(cells.chunks(intensities.len() * seeds.len()))
+        .map(|((name, _), row)| {
             let per_intensity: Vec<IntensityStats> = intensities
                 .iter()
-                .enumerate()
-                .map(|(col, &intensity)| {
-                    let cell = &grid[row][col];
+                .zip(row.chunks(seeds.len()))
+                .map(|(&intensity, cell)| {
                     let reports: Vec<ExperimentReport> =
                         cell.iter().map(|(r, _, _)| r.clone()).collect();
                     let panics = cell.iter().filter(|(_, panicked, _)| *panicked).count() as u64;
@@ -163,7 +165,7 @@ pub fn run_chaos_entries(
                         intensity,
                         panics,
                         faults,
-                        sweep: reduce_experiment(name, &seeds, &reports),
+                        sweep: reduce_experiment(name, seeds, &reports),
                     }
                 })
                 .collect();
@@ -182,59 +184,6 @@ pub fn run_chaos_entries(
 }
 
 type ChaosCell = (ExperimentReport, bool, FaultStats);
-
-/// Run `experiments × intensities × seeds` jobs on scoped worker threads.
-/// Returns cells as `[experiment][intensity][seed]`.
-fn run_grid(
-    entries: &[ExperimentEntry],
-    intensities: &[f64],
-    seeds: &[u64],
-    threads: Option<usize>,
-) -> Vec<Vec<Vec<ChaosCell>>> {
-    let per_exp = intensities.len() * seeds.len();
-    let jobs = entries.len() * per_exp;
-    let workers = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, jobs.max(1));
-
-    let next = AtomicUsize::new(0);
-    let mut harvested: Vec<(usize, ChaosCell)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let job = next.fetch_add(1, Ordering::Relaxed);
-                        if job >= jobs {
-                            break;
-                        }
-                        let (name, run) = entries[job / per_exp];
-                        let intensity = intensities[(job % per_exp) / seeds.len()];
-                        let seed = seeds[job % seeds.len()];
-                        // Scope the ambient intensity to exactly this run and
-                        // start its fault tally from zero; the guard restores
-                        // the thread's previous (fault-free) state either way.
-                        let guard = fault::set_ambient_intensity(intensity);
-                        let _ = fault::take_ambient_stats();
-                        let (report, panicked) = crate::run_isolated(name, run, seed);
-                        let faults = fault::take_ambient_stats();
-                        drop(guard);
-                        local.push((job, (report, panicked, faults)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("worker threads do not panic")).collect()
-    });
-
-    harvested.sort_by_key(|(job, _)| *job);
-    debug_assert_eq!(harvested.len(), jobs, "every job produced one cell");
-    let mut it = harvested.into_iter().map(|(_, c)| c);
-    (0..entries.len())
-        .map(|_| (0..intensities.len()).map(|_| it.by_ref().take(seeds.len()).collect()).collect())
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {

@@ -27,9 +27,9 @@
 //!
 //! Everything is derived from `SimRng` forks of the chain seed; there is
 //! no wall-clock anywhere in a scenario, an outcome, or the report. Chains
-//! run as grid jobs on scoped worker threads (the `sweep` execution
-//! model): which thread runs a chain varies, but results land in fixed
-//! slots and the reduction walks chains in seed order, so the rendered
+//! run as jobs on the job grid ([`crate::grid`], the `sweep` execution
+//! model): which thread runs a chain varies, but results come back in job
+//! order and the reduction walks chains in seed order, so the rendered
 //! report is byte-identical across `--threads 1/2/8` and across repeated
 //! runs.
 
@@ -37,7 +37,6 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tussle_econ::{AccountId, Instrument, Ledger, Money, PeeringContract, TransitContract};
 use tussle_econ::{Consumer, Market, Provider};
 use tussle_net::packet::ports;
@@ -1429,9 +1428,9 @@ fn run_chain(chain_seed: u64, budget: u64) -> ChainResult {
     ChainResult { stat, checks, violation_counts, findings, coverage, scoreboard }
 }
 
-/// Run the campaign. Chains execute as grid jobs on scoped worker
-/// threads; the reduction walks them in seed order, so the report is
-/// byte-identical across thread counts.
+/// Run the campaign. Chains execute as jobs on the job grid; the
+/// reduction walks them in seed order, so the report is byte-identical
+/// across thread counts.
 pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzReport, FuzzError> {
     if config.budget == 0 {
         return Err(FuzzError::NoBudget);
@@ -1451,31 +1450,8 @@ pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzReport, FuzzError> {
         .filter(|(_, b)| *b > 0)
         .collect();
 
-    let workers = config
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, jobs.len().max(1));
-    let next = AtomicUsize::new(0);
-    let mut harvested: Vec<(usize, ChainResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let job = next.fetch_add(1, Ordering::Relaxed);
-                        if job >= jobs.len() {
-                            break;
-                        }
-                        let (seed, budget) = jobs[job];
-                        local.push((job, run_chain(seed, budget)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("worker threads do not panic")).collect()
-    });
-    harvested.sort_by_key(|(job, _)| *job);
+    let results =
+        crate::grid::par_map(&jobs, config.threads, |&(seed, budget)| run_chain(seed, budget));
 
     // Sequential reduction in chain-seed order.
     let mut oracle_checks: BTreeMap<String, u64> = BTreeMap::new();
@@ -1485,7 +1461,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzReport, FuzzError> {
     let mut findings = Vec::new();
     let mut digest = Fnv1a::new();
     let mut scoreboard = tussle_core::Scoreboard::default();
-    for (_, chain) in harvested {
+    for chain in results {
         digest.write_str(&chain.stat.digest);
         chains.push(chain.stat);
         scoreboard.merge(&chain.scoreboard);

@@ -50,6 +50,7 @@ pub mod e15_micropayments;
 pub mod e16_multicast;
 pub mod e17_uncooperative;
 pub mod fuzz;
+pub mod grid;
 pub mod recovery;
 pub mod scale;
 pub mod sweep;
@@ -98,6 +99,43 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ("E16", e16_multicast::run),
         ("E17", e17_uncooperative::run),
     ]
+}
+
+/// An `--only` id that names no experiment in the registry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownExperiment(pub String);
+
+impl UnknownExperiment {
+    /// Write the one unknown-id message; the campaign errors that carry
+    /// a bare id render through it too.
+    pub(crate) fn fmt_id(id: &str, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "unknown experiment `{id}` (the registry has E1..=E17)")
+    }
+}
+
+impl core::fmt::Display for UnknownExperiment {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        Self::fmt_id(&self.0, f)
+    }
+}
+
+impl std::error::Error for UnknownExperiment {}
+
+/// Resolve `--only` ids against the registry. `None` selects the whole
+/// registry in id order. Otherwise each id matches case-insensitively and
+/// the entries come back in request order, in registry spelling; the
+/// first id that names no experiment is the error.
+pub fn select(only: Option<&[String]>) -> Result<Vec<ExperimentEntry>, UnknownExperiment> {
+    let full = registry();
+    let Some(ids) = only else { return Ok(full) };
+    ids.iter()
+        .map(|id| {
+            full.iter()
+                .find(|(name, _)| name.eq_ignore_ascii_case(id))
+                .copied()
+                .ok_or_else(|| UnknownExperiment(id.clone()))
+        })
+        .collect()
 }
 
 /// The deterministic [`RunCost`] view of an observation record (wall time
@@ -195,19 +233,13 @@ pub fn panic_report(id: &str, seed: u64, message: &str) -> ExperimentReport {
     }
 }
 
-/// Run every experiment concurrently (one scoped thread each) and return
-/// the reports in id order. Determinism is unaffected: each experiment is
-/// seeded independently and never shares mutable state. A panicking
-/// experiment yields its [`panic_report`] instead of poisoning the batch.
+/// Run every experiment on the job grid ([`grid::par_map`], at the
+/// machine's available parallelism) and return the reports in id order.
+/// Determinism is unaffected: each experiment is seeded independently and
+/// never shares mutable state. A panicking experiment yields its
+/// [`panic_report`] instead of poisoning the batch.
 pub fn run_all_parallel(seed: u64) -> Vec<ExperimentReport> {
-    let reg = registry();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = reg
-            .iter()
-            .map(|(name, run)| scope.spawn(move || run_captured(name, *run, seed)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker threads do not panic")).collect()
-    })
+    grid::par_map(&registry(), None, |&(name, run)| run_captured(name, run, seed))
 }
 
 /// Run every experiment with one seed; returns the reports in id order.
@@ -229,6 +261,31 @@ mod tests {
             assert!(r.shape_holds, "{}: shape failed — {}", r.id, r.summary);
             assert!(!r.table.rows.is_empty(), "{} produced no rows", r.id);
         }
+    }
+
+    #[test]
+    fn select_none_is_the_registry_in_id_order() {
+        let names = |entries: Vec<ExperimentEntry>| -> Vec<&str> {
+            entries.into_iter().map(|(name, _)| name).collect()
+        };
+        let all = names(select(None).unwrap());
+        assert_eq!(all, names(registry()));
+        assert_eq!(all.len(), 17);
+        assert_eq!(all[0], "E1");
+        assert_eq!(all[16], "E17");
+    }
+
+    #[test]
+    fn select_matches_case_insensitively_in_request_order() {
+        let ids = |ids: &[&str]| -> Vec<String> { ids.iter().map(|s| (*s).to_owned()).collect() };
+        let picked = select(Some(&ids(&["e17", "E5", "e1"]))).unwrap();
+        let names: Vec<&str> = picked.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["E17", "E5", "E1"], "request order, registry spelling");
+        assert!(select(Some(&[])).unwrap().is_empty());
+
+        let err = select(Some(&ids(&["E1", "E98", "E99"]))).unwrap_err();
+        assert_eq!(err, UnknownExperiment("E98".into()), "the first unknown id is the error");
+        assert_eq!(err.to_string(), "unknown experiment `E98` (the registry has E1..=E17)");
     }
 
     #[test]

@@ -8,31 +8,12 @@
 //! reports, goldens and digests. `tussle-cli trace` dumps the captured
 //! structured trace stream instead, optionally filtered by topic.
 
-use crate::registry;
+use crate::{ExperimentEntry, UnknownExperiment};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tussle_core::RunCost;
 use tussle_sim::obs::TopicCost;
 use tussle_sim::trace::TraceEntry;
-
-/// Why a profile run could not start.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProfileError {
-    /// An id in `only` names no experiment in the registry.
-    UnknownExperiment(String),
-}
-
-impl core::fmt::Display for ProfileError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ProfileError::UnknownExperiment(id) => {
-                write!(f, "unknown experiment `{id}` (the registry has E1..=E17)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProfileError {}
 
 /// One experiment's profile: deterministic cost plus wall-clock attribution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,27 +80,16 @@ fn fmt_nanos(nanos: u64) -> String {
     }
 }
 
-/// Select registry entries by id (in request order), or the whole registry.
-fn select(only: &[String]) -> Result<Vec<crate::ExperimentEntry>, ProfileError> {
-    let full = registry();
-    if only.is_empty() {
-        return Ok(full);
-    }
-    let mut picked = Vec::with_capacity(only.len());
-    for id in only {
-        let entry = full
-            .iter()
-            .find(|(name, _)| name.eq_ignore_ascii_case(id))
-            .ok_or_else(|| ProfileError::UnknownExperiment(id.clone()))?;
-        picked.push(*entry);
-    }
-    Ok(picked)
+/// The entries an `only` list names, or the whole registry when it is
+/// empty.
+fn select(only: &[String]) -> Result<Vec<ExperimentEntry>, UnknownExperiment> {
+    crate::select((!only.is_empty()).then_some(only))
 }
 
 /// Profile the selected experiments (all of them when `only` is empty) at
 /// one seed. Runs sequentially — concurrent runs would contend for the
 /// core and corrupt each other's wall-time attribution.
-pub fn collect(seed: u64, only: &[String]) -> Result<Vec<ProfileReport>, ProfileError> {
+pub fn collect(seed: u64, only: &[String]) -> Result<Vec<ProfileReport>, UnknownExperiment> {
     let selected = select(only)?;
     Ok(selected
         .into_iter()
@@ -156,7 +126,7 @@ pub fn trace_dump(
     seed: u64,
     only: &[String],
     grep: Option<&str>,
-) -> Result<TraceDump, ProfileError> {
+) -> Result<TraceDump, UnknownExperiment> {
     let selected = select(only)?;
     let mut out = String::new();
     let mut matched = 0usize;
@@ -193,45 +163,20 @@ pub fn trace_dump(
 
 /// Run the selected experiments under Profile observation and return each
 /// one's full [`tussle_sim::RunRecord`], in request order, for the export
-/// renderers. Jobs run on scoped worker threads stealing from a shared
-/// atomic index (the sweep execution model): *which* thread runs an
-/// experiment varies run to run, but records land in fixed slots, and the
-/// exporters render only virtual-time fields — so every downstream
-/// rendering is byte-identical across `--threads 1/2/8`.
+/// renderers. The runs go through the job grid ([`crate::grid`]): *which*
+/// thread runs an experiment varies run to run, but records come back in
+/// request order, and the exporters render only virtual-time fields — so
+/// every downstream rendering is byte-identical across `--threads 1/2/8`.
 pub fn export_records(
     seed: u64,
     only: &[String],
     threads: Option<usize>,
-) -> Result<Vec<(String, tussle_sim::RunRecord)>, ProfileError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+) -> Result<Vec<(String, tussle_sim::RunRecord)>, UnknownExperiment> {
     let selected = select(only)?;
-    let jobs = selected.len();
-    let workers = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, jobs.max(1));
-    let next = AtomicUsize::new(0);
-    let mut harvested: Vec<(usize, tussle_sim::RunRecord)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let job = next.fetch_add(1, Ordering::Relaxed);
-                        if job >= jobs {
-                            break;
-                        }
-                        let (name, run) = selected[job];
-                        let (_, record) = crate::run_profiled(name, run, seed);
-                        local.push((job, record));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("worker threads do not panic")).collect()
+    let records = crate::grid::par_map(&selected, threads, |&(name, run)| {
+        crate::run_profiled(name, run, seed).1
     });
-    harvested.sort_by_key(|(job, _)| *job);
-    Ok(harvested.into_iter().map(|(job, record)| (selected[job].0.to_owned(), record)).collect())
+    Ok(selected.iter().map(|(name, _)| (*name).to_owned()).zip(records).collect())
 }
 
 /// One experiment's trace dump in structured form, for `trace --json`.
@@ -258,7 +203,7 @@ pub fn trace_json(
     seed: u64,
     only: &[String],
     grep: Option<&str>,
-) -> Result<TraceDump, ProfileError> {
+) -> Result<TraceDump, UnknownExperiment> {
     let selected = select(only)?;
     let mut dumps = Vec::with_capacity(selected.len());
     let mut matched = 0usize;
@@ -290,7 +235,7 @@ pub fn trace_json(
 /// experiment id. Attribution is by *virtual* time, so the output is
 /// deterministic and snapshot-testable — feed it to `inferno` or
 /// `flamegraph.pl` to render an SVG.
-pub fn collapsed(seed: u64, only: &[String]) -> Result<String, ProfileError> {
+pub fn collapsed(seed: u64, only: &[String]) -> Result<String, UnknownExperiment> {
     let selected = select(only)?;
     let mut out = String::new();
     for (name, run) in selected {
@@ -307,7 +252,7 @@ mod tests {
     #[test]
     fn unknown_experiment_is_an_error() {
         let err = collect(1, &["E99".into()]).unwrap_err();
-        assert_eq!(err, ProfileError::UnknownExperiment("E99".into()));
+        assert_eq!(err, UnknownExperiment("E99".into()));
         assert!(err.to_string().contains("E99"));
     }
 

@@ -32,13 +32,13 @@
 //!
 //! ## Determinism
 //!
-//! Same execution model as the chaos campaign: workers steal cells from a
-//! shared atomic index, results land in fixed slots, and the report is
-//! byte-identical across thread counts. Checkpoint scopes are thread-local,
-//! so job placement cannot leak snapshots between cells.
+//! Same execution model as the chaos campaign: the cells run on the job
+//! grid ([`crate::grid`]), results come back in job order, and the report
+//! is byte-identical across thread counts. Checkpoint scopes are
+//! thread-local, so job placement cannot leak snapshots between cells.
 
-use crate::{registry, ExperimentEntry};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::grid::par_map;
+use crate::ExperimentEntry;
 use tussle_core::report::{RecoveryCell, RecoveryReport};
 use tussle_core::ExperimentReport;
 use tussle_sim::checkpoint::{self, CheckpointConfig, CheckpointPolicy, Snapshot};
@@ -101,9 +101,7 @@ impl core::fmt::Display for RecoveryError {
             RecoveryError::ZeroInterval => {
                 f.write_str("checkpoint interval must be at least 1 event")
             }
-            RecoveryError::UnknownExperiment(id) => {
-                write!(f, "unknown experiment `{id}` (the registry has E1..=E17)")
-            }
+            RecoveryError::UnknownExperiment(id) => crate::UnknownExperiment::fmt_id(id, f),
             RecoveryError::BadSnapshot(err) => write!(f, "{err}"),
         }
     }
@@ -114,21 +112,8 @@ impl std::error::Error for RecoveryError {}
 /// Run the recovery campaign over the experiment registry (or the `only`
 /// subset). See the module docs for the execution model.
 pub fn run_recovery(config: &RecoveryConfig) -> Result<RecoveryReport, RecoveryError> {
-    let full = registry();
-    let selected: Vec<ExperimentEntry> = match &config.only {
-        None => full,
-        Some(ids) => {
-            let mut picked = Vec::with_capacity(ids.len());
-            for id in ids {
-                let entry = full
-                    .iter()
-                    .find(|(name, _)| name.eq_ignore_ascii_case(id))
-                    .ok_or_else(|| RecoveryError::UnknownExperiment(id.clone()))?;
-                picked.push(*entry);
-            }
-            picked
-        }
-    };
+    let selected =
+        crate::select(config.only.as_deref()).map_err(|e| RecoveryError::UnknownExperiment(e.0))?;
     run_recovery_entries(&selected, config)
 }
 
@@ -149,47 +134,24 @@ pub fn run_recovery_entries(
         return Err(RecoveryError::ZeroInterval);
     }
 
-    let seeds: Vec<u64> = (0..config.seeds).map(|i| config.base_seed.wrapping_add(i)).collect();
-    let kills = config.kill_points;
-    let per_exp = (seeds.len() as u64 * kills) as usize;
-    let jobs = entries.len() * per_exp;
-    let workers = config
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, jobs.max(1));
-
-    let next = AtomicUsize::new(0);
-    let mut harvested: Vec<(usize, RecoveryCell)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let job = next.fetch_add(1, Ordering::Relaxed);
-                        if job >= jobs {
-                            break;
-                        }
-                        let (name, run) = entries[job / per_exp];
-                        let within = (job % per_exp) as u64;
-                        let seed = seeds[(within / kills) as usize];
-                        let kill_point = within % kills;
-                        local.push((job, run_cell(name, run, seed, kill_point, config.every)));
-                    }
-                    local
-                })
+    let jobs: Vec<(ExperimentEntry, u64, u64)> = entries
+        .iter()
+        .flat_map(|&entry| {
+            (0..config.seeds).flat_map(move |i| {
+                let seed = config.base_seed.wrapping_add(i);
+                (0..config.kill_points).map(move |kill_point| (entry, seed, kill_point))
             })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("worker threads do not panic")).collect()
+        })
+        .collect();
+    let cells = par_map(&jobs, config.threads, |&((name, run), seed, kill_point)| {
+        run_cell(name, run, seed, kill_point, config.every)
     });
-
-    harvested.sort_by_key(|(job, _)| *job);
-    debug_assert_eq!(harvested.len(), jobs, "every job produced one cell");
     Ok(RecoveryReport {
         base_seed: config.base_seed,
         seeds: config.seeds,
         kill_points: config.kill_points,
         every: config.every,
-        cells: harvested.into_iter().map(|(_, c)| c).collect(),
+        cells,
     })
 }
 
@@ -353,12 +315,8 @@ pub struct ResumeOutcome {
 /// caller provides nothing but the file.
 pub fn resume_from_snapshot(snapshot: &Snapshot) -> Result<ResumeOutcome, RecoveryError> {
     snapshot.validate().map_err(RecoveryError::BadSnapshot)?;
-    let id = snapshot.meta.experiment.clone();
-    let entry = registry()
-        .into_iter()
-        .find(|(name, _)| name.eq_ignore_ascii_case(&id))
-        .ok_or(RecoveryError::UnknownExperiment(id))?;
-    let (name, run) = entry;
+    let (name, run) = crate::select(Some(std::slice::from_ref(&snapshot.meta.experiment)))
+        .map_err(|e| RecoveryError::UnknownExperiment(e.0))?[0];
     let seed = snapshot.meta.seed;
     let guard = checkpoint::begin(
         CheckpointConfig::new(CheckpointPolicy::manual()).verify(snapshot.clone()).meta(name, seed),

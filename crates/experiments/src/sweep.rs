@@ -3,10 +3,10 @@
 //! Every experiment asserts a qualitative *shape* ("markup rises with
 //! switching cost"), not a point value, so a single lucky seed proves
 //! little. The sweep fans the registry over `experiments × seeds` jobs,
-//! runs them on scoped worker threads, and reduces the per-seed reports
-//! into a [`SweepReport`]: per-experiment hold rate, min/median/max of
-//! every numeric table cell, and the first failing seed with its full
-//! report.
+//! runs them on the job grid ([`crate::grid`]), and reduces the per-seed
+//! reports into a [`SweepReport`]: per-experiment hold rate,
+//! min/median/max of every numeric table cell, and the first failing seed
+//! with its full report.
 //!
 //! ## Determinism
 //!
@@ -17,8 +17,7 @@
 //! and JSON — is therefore byte-identical across runs regardless of
 //! thread count or scheduling.
 
-use crate::registry;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::grid::par_map;
 use tussle_core::report::{CellStats, ExperimentSweep, FirstFailure, SweepReport};
 use tussle_core::ExperimentReport;
 
@@ -55,9 +54,7 @@ impl core::fmt::Display for SweepError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SweepError::NoSeeds => f.write_str("sweep needs at least one seed"),
-            SweepError::UnknownExperiment(id) => {
-                write!(f, "unknown experiment `{id}` (the registry has E1..=E17)")
-            }
+            SweepError::UnknownExperiment(id) => crate::UnknownExperiment::fmt_id(id, f),
         }
     }
 }
@@ -69,78 +66,22 @@ pub fn run_sweep(config: &SweepConfig) -> Result<SweepReport, SweepError> {
     if config.seeds == 0 {
         return Err(SweepError::NoSeeds);
     }
-    let full = registry();
-    let selected: Vec<crate::ExperimentEntry> = match &config.only {
-        None => full,
-        Some(ids) => {
-            let mut picked = Vec::with_capacity(ids.len());
-            for id in ids {
-                let entry = full
-                    .iter()
-                    .find(|(name, _)| name.eq_ignore_ascii_case(id))
-                    .ok_or_else(|| SweepError::UnknownExperiment(id.clone()))?;
-                picked.push(*entry);
-            }
-            picked
-        }
-    };
-
+    let selected =
+        crate::select(config.only.as_deref()).map_err(|e| SweepError::UnknownExperiment(e.0))?;
     let seeds: Vec<u64> = (0..config.seeds).map(|i| config.base_seed.wrapping_add(i)).collect();
-    let grid = run_grid(&selected, &seeds, config.threads);
+    let jobs: Vec<(crate::ExperimentEntry, u64)> =
+        selected.iter().flat_map(|&entry| seeds.iter().map(move |&seed| (entry, seed))).collect();
+    let reports =
+        par_map(&jobs, config.threads, |&((name, run), seed)| crate::run_captured(name, run, seed));
 
     // Sequential reduction in fixed (experiment, seed) order; nothing past
     // this point depends on how the parallel phase was scheduled.
     let experiments = selected
         .iter()
-        .enumerate()
-        .map(|(row, (name, _))| reduce_experiment(name, &seeds, &grid[row]))
+        .zip(reports.chunks(seeds.len()))
+        .map(|((name, _), row)| reduce_experiment(name, &seeds, row))
         .collect();
     Ok(SweepReport { base_seed: config.base_seed, seeds: config.seeds, experiments })
-}
-
-/// Run `experiments × seeds` jobs on scoped worker threads, stealing work
-/// from a shared index. Returns the reports as `[experiment][seed]`.
-fn run_grid(
-    experiments: &[crate::ExperimentEntry],
-    seeds: &[u64],
-    threads: Option<usize>,
-) -> Vec<Vec<ExperimentReport>> {
-    let jobs = experiments.len() * seeds.len();
-    let workers = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, jobs.max(1));
-
-    let next = AtomicUsize::new(0);
-    let mut harvested: Vec<(usize, ExperimentReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let job = next.fetch_add(1, Ordering::Relaxed);
-                        if job >= jobs {
-                            break;
-                        }
-                        let (name, run) = experiments[job / seeds.len()];
-                        local.push((job, crate::run_captured(name, run, seeds[job % seeds.len()])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // Experiment panics are caught inside `run_captured`, so a join
-        // failure can only mean the worker loop itself is broken.
-        handles.into_iter().flat_map(|h| h.join().expect("worker threads do not panic")).collect()
-    });
-
-    harvested.sort_by_key(|(job, _)| *job);
-    debug_assert_eq!(harvested.len(), jobs, "every job produced one report");
-    let mut rows: Vec<Vec<ExperimentReport>> = Vec::with_capacity(experiments.len());
-    let mut it = harvested.into_iter().map(|(_, r)| r);
-    for _ in 0..experiments.len() {
-        rows.push(it.by_ref().take(seeds.len()).collect());
-    }
-    rows
 }
 
 /// Reduce one experiment's per-seed reports into its sweep summary.
