@@ -45,6 +45,7 @@ timed_test "workspace doctests"    --workspace --doc
 # Crate-level integration/property suites.
 timed_test "actors/prop_actors"            -p tussle-actors      --test prop_actors
 timed_test "actors/oracle_network"         -p tussle-actors      --test oracle_network
+timed_test "actors/oracle_freezing"        -p tussle-actors      --test oracle_freezing
 timed_test "cli/oracle_parse"              -p tussle-cli         --test oracle_parse
 timed_test "econ/prop_ledger"              -p tussle-econ        --test prop_ledger
 timed_test "experiments/chaos_campaign"    -p tussle-experiments --test chaos_campaign

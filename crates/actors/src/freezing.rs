@@ -4,7 +4,9 @@
 //! signal but also as a pre-condition of a durably formed and unchangeable
 //! Internet." The detector watches entrant arrivals and tussle energy; the
 //! network is *frozen* when both have been below threshold for a sustained
-//! window.
+//! window. A step that admits an entrant is not quiet whatever the energy,
+//! so the detector reads the energy only on entrant-free steps: `observe`
+//! takes it as a closure and calls it only then.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,7 +18,8 @@ pub struct FreezeDetector {
     /// Steps both signals must stay low before declaring a freeze.
     pub window: usize,
     quiet_steps: usize,
-    history: Vec<(usize, f64)>,
+    steps: usize,
+    frozen_at: Option<usize>,
 }
 
 impl FreezeDetector {
@@ -26,19 +29,24 @@ impl FreezeDetector {
             energy_threshold,
             window: window.max(1),
             quiet_steps: 0,
-            history: Vec::new(),
+            steps: 0,
+            frozen_at: None,
         }
     }
 
-    /// Record one step's observations: entrants admitted and current
-    /// tussle energy. Returns `true` if the network is now frozen.
-    pub fn observe(&mut self, entrants: usize, tussle_energy: f64) -> bool {
-        self.history.push((entrants, tussle_energy));
-        if entrants == 0 && tussle_energy < self.energy_threshold {
+    /// Record one step's observations: entrants admitted, and the current
+    /// tussle energy, which `energy` computes and which is read only when
+    /// `entrants == 0`. Returns `true` if the network is now frozen.
+    pub fn observe(&mut self, entrants: usize, energy: impl FnOnce() -> f64) -> bool {
+        if entrants == 0 && energy() < self.energy_threshold {
             self.quiet_steps += 1;
+            if self.quiet_steps >= self.window {
+                self.frozen_at.get_or_insert(self.steps);
+            }
         } else {
             self.quiet_steps = 0;
         }
+        self.steps += 1;
         self.is_frozen()
     }
 
@@ -49,23 +57,12 @@ impl FreezeDetector {
 
     /// The step index at which the freeze was first declared, if ever.
     pub fn frozen_at(&self) -> Option<usize> {
-        let mut quiet = 0;
-        for (i, (entrants, energy)) in self.history.iter().enumerate() {
-            if *entrants == 0 && *energy < self.energy_threshold {
-                quiet += 1;
-                if quiet >= self.window {
-                    return Some(i);
-                }
-            } else {
-                quiet = 0;
-            }
-        }
-        None
+        self.frozen_at
     }
 
     /// Observations recorded so far.
     pub fn steps(&self) -> usize {
-        self.history.len()
+        self.steps
     }
 }
 
@@ -79,9 +76,9 @@ mod tests {
     #[test]
     fn quiet_window_declares_freeze() {
         let mut d = FreezeDetector::new(0.1, 3);
-        assert!(!d.observe(0, 0.01));
-        assert!(!d.observe(0, 0.02));
-        assert!(d.observe(0, 0.0));
+        assert!(!d.observe(0, || 0.01));
+        assert!(!d.observe(0, || 0.02));
+        assert!(d.observe(0, || 0.0));
         assert!(d.is_frozen());
         assert_eq!(d.frozen_at(), Some(2));
     }
@@ -89,12 +86,12 @@ mod tests {
     #[test]
     fn an_entrant_resets_the_clock() {
         let mut d = FreezeDetector::new(0.1, 3);
-        d.observe(0, 0.0);
-        d.observe(0, 0.0);
-        d.observe(1, 0.0); // innovation arrives
-        assert!(!d.observe(0, 0.0));
-        assert!(!d.observe(0, 0.0));
-        assert!(d.observe(0, 0.0));
+        d.observe(0, || 0.0);
+        d.observe(0, || 0.0);
+        d.observe(1, || 0.0); // innovation arrives
+        assert!(!d.observe(0, || 0.0));
+        assert!(!d.observe(0, || 0.0));
+        assert!(d.observe(0, || 0.0));
         assert_eq!(d.frozen_at(), Some(5));
     }
 
@@ -102,7 +99,7 @@ mod tests {
     fn high_energy_prevents_freeze() {
         let mut d = FreezeDetector::new(0.1, 2);
         for _ in 0..10 {
-            assert!(!d.observe(0, 0.5));
+            assert!(!d.observe(0, || 0.5));
         }
     }
 
@@ -120,7 +117,7 @@ mod tests {
             let mut rng = SimRng::seed_from_u64(seed);
             for _ in 0..500 {
                 let admitted = churn.step(&mut net, &mut rng);
-                det.observe(admitted, net.tussle_energy());
+                det.observe(admitted, || net.tussle_energy());
             }
             det.frozen_at()
         };

@@ -13,17 +13,9 @@ impl ActorId {
     }
 }
 
-// Lets `ActorId` (and pairs of them) key serialized relation maps.
-impl serde::StringKey for ActorId {
-    fn to_key(&self) -> String {
-        self.0.to_string()
-    }
-    fn from_key(key: &str) -> Result<Self, serde::DeError> {
-        key.parse()
-            .map(ActorId)
-            .map_err(|_| serde::DeError(format!("invalid ActorId map key `{key}`")))
-    }
-}
+/// Stance lanes per chunk. `relax` runs one fixed-width body over whole
+/// chunks, whatever the issue count.
+const LANES: usize = 4;
 
 /// What kind of actor this is. The actor-network view "gives equal
 /// attention" to humans and nonhumans; durability, though, is anchored by
@@ -62,9 +54,11 @@ pub struct Actor {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ActorNetwork {
     actors: Vec<Actor>,
-    /// Stances, `issue_count` per actor: actor `i`'s row starts at
-    /// `i * issue_count`.
-    stances: Vec<f64>,
+    /// Stances in lane chunks, `issue_count.div_ceil(LANES)` per actor:
+    /// actor `i`'s row starts at chunk `i * row_chunks()`. The lanes past
+    /// `issue_count` are padding; they start at 0.0 and no accessor shows
+    /// them.
+    stances: Vec<[f64; LANES]>,
     /// `upper[a]` holds `(b, strength)` for every `b > a` aligned with `a`,
     /// ascending by `b`. Walking `a` upwards, then each list in order,
     /// visits pairs in `(low, high)` order.
@@ -85,13 +79,21 @@ impl ActorNetwork {
         self.issue_count
     }
 
+    /// Lane chunks per stance row.
+    fn row_chunks(&self) -> usize {
+        self.issue_count.div_ceil(LANES)
+    }
+
     /// Add an actor; stances are clamped to `[-1, 1]` and padded/truncated
     /// to the issue count.
     pub fn add_actor(&mut self, kind: ActorKind, name: &str, stances: Vec<f64>) -> ActorId {
         let id = ActorId(self.actors.len() as u32);
         let row = self.stances.len();
-        self.stances.extend(stances.into_iter().take(self.issue_count).map(|v| v.clamp(-1.0, 1.0)));
-        self.stances.resize(row + self.issue_count, 0.0);
+        self.stances.resize(row + self.row_chunks(), [0.0; LANES]);
+        let lanes = self.stances[row..].as_flattened_mut();
+        for (lane, v) in lanes.iter_mut().zip(stances.into_iter().take(self.issue_count)) {
+            *lane = v.clamp(-1.0, 1.0);
+        }
         self.actors.push(Actor { id, kind, name: name.to_owned(), active: true });
         self.upper.push(Vec::new());
         self.active.push(id);
@@ -121,8 +123,9 @@ impl ActorNetwork {
 
     /// An actor's stances, one per issue axis.
     pub fn stances(&self, id: ActorId) -> &[f64] {
-        let row = id.index() * self.issue_count;
-        &self.stances[row..row + self.issue_count]
+        let chunks = self.row_chunks();
+        let row = id.index() * chunks;
+        &self.stances[row..row + chunks].as_flattened()[..self.issue_count]
     }
 
     fn is_active(&self, id: ActorId) -> bool {
@@ -222,19 +225,30 @@ impl ActorNetwork {
 
     /// One relaxation step: aligned actors pull each other's stances
     /// together at `rate` (tussles get resolved; the network hardens).
+    ///
+    /// Pairs run in `(low, high)` order. Lanes never mix, so each low
+    /// actor's chunk is held in a local across all its ties, and the ties
+    /// strengthen only once its lanes are done: every lane still sees the
+    /// same operations in the same order (DESIGN.md §7).
     pub fn relax(&mut self, rate: f64) {
-        let k = self.issue_count;
+        let chunks = self.row_chunks();
         for (a, ties) in self.upper.iter_mut().enumerate() {
-            for (b, s) in ties.iter_mut() {
-                // a < b, so a's row lies wholly below b's.
-                let (below, from_b) = self.stances.split_at_mut(b.index() * k);
-                let row_a = &mut below[a * k..a * k + k];
-                for (xa, xb) in row_a.iter_mut().zip(&mut from_b[..k]) {
-                    let pull = rate * *s * (*xb - *xa) / 2.0;
-                    *xa = (*xa + pull).clamp(-1.0, 1.0);
-                    *xb = (*xb - pull).clamp(-1.0, 1.0);
+            // every tie's b is above a, so its row lies in `above`
+            let (below, above) = self.stances.split_at_mut((a + 1) * chunks);
+            for (j, chunk) in below[a * chunks..].iter_mut().enumerate() {
+                let mut xa = *chunk;
+                for &(b, s) in ties.iter() {
+                    let xb = &mut above[(b.index() - a - 1) * chunks + j];
+                    for (xa, xb) in xa.iter_mut().zip(xb) {
+                        let pull = rate * s * (*xb - *xa) / 2.0;
+                        *xa = (*xa + pull).clamp(-1.0, 1.0);
+                        *xb = (*xb - pull).clamp(-1.0, 1.0);
+                    }
                 }
-                // working together also strengthens the tie
+                *chunk = xa;
+            }
+            // working together also strengthens the tie
+            for (_, s) in ties.iter_mut() {
                 *s = (*s + rate * 0.1).min(1.0);
             }
         }

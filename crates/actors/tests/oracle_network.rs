@@ -1,10 +1,11 @@
 //! Equivalence oracle for the dense actor-network storage.
 //!
 //! `RefNetwork` is the `BTreeMap`-keyed `ActorNetwork` the dense layout
-//! replaced, kept verbatim. The dense network must compute every float
-//! bit for bit as it did: on random operation sequences, and on E12's
-//! churn loop replayed through the real `ChurnProcess` against a mirror of
-//! that loop driven by the same random draws.
+//! replaced, kept verbatim. The dense network, with its stances in lane
+//! chunks, must compute every float bit for bit as it did: on random
+//! operation sequences, and on E12's churn loop replayed through the real
+//! `ChurnProcess` against a mirror of that loop driven by the same random
+//! draws.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -210,7 +211,7 @@ fn kind(i: usize) -> ActorKind {
 fn arb_op() -> impl Strategy<Value = Op> {
     // `Align` is listed twice so that ties outnumber removals.
     prop_oneof![
-        (0usize..3, proptest::collection::vec(-1.5f64..1.5, 0..5))
+        (0usize..3, proptest::collection::vec(-1.5f64..1.5, 0..11))
             .prop_map(|(k, s)| Op::Add(kind(k), s)),
         (0usize..16, 0usize..16, -0.5f64..1.5).prop_map(|(a, b, s)| Op::Align(a, b, s)),
         (0usize..16, 0usize..16, -0.5f64..1.5).prop_map(|(a, b, s)| Op::Align(a, b, s)),
@@ -223,10 +224,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Random operation sequences: after every operation the dense network
-    /// and the reference agree bit for bit.
+    /// and the reference agree bit for bit. Up to nine issues make stance
+    /// rows of one to three lane chunks, padding included.
     #[test]
     fn dense_network_matches_the_btreemap_reference(
-        issue_count in 0usize..4,
+        issue_count in 0usize..10,
         ops in proptest::collection::vec(arb_op(), 1..80),
     ) {
         let mut real = ActorNetwork::new(issue_count);

@@ -255,6 +255,12 @@ fn bench_actors(c: &mut Criterion) {
     c.bench_function("layer/actors/tussle_energy", |b| {
         b.iter(|| black_box(black_box(&net).tussle_energy()))
     });
+    // One E12 relaxation at its churn rate. Each pass hardens the ties a
+    // little, which does not change the work: the same pairs and lanes.
+    let mut relaxed = net.clone();
+    c.bench_function("layer/actors/relax", |b| {
+        b.iter(|| black_box(&mut relaxed).relax(black_box(0.05)))
+    });
 }
 
 criterion_group!(

@@ -62,7 +62,7 @@ impl RateTally {
 fn churn_batch(t: &mut RateTally, n: usize, rng: &mut SimRng) {
     for _ in 0..n {
         let admitted = t.churn.step(&mut t.net, rng);
-        t.det.observe(admitted, t.net.tussle_energy());
+        t.det.observe(admitted, || t.net.tussle_energy());
     }
     t.done += n;
 }
@@ -232,5 +232,54 @@ mod tests {
     fn report_shape_holds() {
         let r = run(1);
         assert!(r.shape_holds, "{}", r.summary);
+    }
+
+    /// `(rate, seed, entrants, frozen_at, final energy bits, final
+    /// durability bits)` as `run_rate(rate, 600, seed)` computed them when
+    /// the detector read the energy on every step and `relax` walked the
+    /// stances pair by pair.
+    const PINNED: [(f64, u64, u64, Option<usize>, u64, u64); 32] = [
+        (0.0, 1, 0, Some(139), 0x3e8a8cee503b5555, 0x3ff0000000000000),
+        (0.0, 2, 0, Some(139), 0x3e8a8cee503b5555, 0x3ff0000000000000),
+        (0.0, 3, 0, Some(139), 0x3e8a8cee503b5555, 0x3ff0000000000000),
+        (0.0, 4, 0, Some(139), 0x3e8a8cee503b5555, 0x3ff0000000000000),
+        (0.0, 5, 0, Some(139), 0x3e8a8cee503b5555, 0x3ff0000000000000),
+        (0.0, 6, 0, Some(139), 0x3e8a8cee503b5555, 0x3ff0000000000000),
+        (0.0, 7, 0, Some(139), 0x3e8a8cee503b5555, 0x3ff0000000000000),
+        (0.0, 8, 0, Some(139), 0x3e8a8cee503b5555, 0x3ff0000000000000),
+        (0.05, 1, 39, None, 0x3fe7e87eddacb900, 0x3fee4dfd4f8a7fa4),
+        (0.05, 2, 30, None, 0x3fec531740405191, 0x3feeb51fe1c9d28a),
+        (0.05, 3, 39, None, 0x3ffcab47feac1a80, 0x3fed9b92f015b6b8),
+        (0.05, 4, 29, None, 0x3fe0b36762780299, 0x3fef0de31a830413),
+        (0.05, 5, 33, None, 0x3ff0df9918b3ac73, 0x3fedb17e4b17e4b1),
+        (0.05, 6, 29, None, 0x3fe5dbc91c9093fd, 0x3fee94b0bec5c94b),
+        (0.05, 7, 35, None, 0x3ff58823860f84ee, 0x3fee0b0fb747920c),
+        (0.05, 8, 36, None, 0x3fea2f0482f67206, 0x3fee1178bd4b9d30),
+        (0.5, 1, 296, None, 0x40238df4fe75e414, 0x3fee0d8c43515a6d),
+        (0.5, 2, 305, None, 0x4024281a3242d709, 0x3fee0ab9a5db7bbe),
+        (0.5, 3, 294, None, 0x40224ec547aecbb3, 0x3fee07c65232f7ae),
+        (0.5, 4, 283, None, 0x4022943a83bd84ba, 0x3fedc844ca3b2814),
+        (0.5, 5, 307, None, 0x40228990b670e4b6, 0x3fee599b3bfc042e),
+        (0.5, 6, 300, None, 0x402209395259d753, 0x3fee0f8518097345),
+        (0.5, 7, 294, None, 0x40206368238b7063, 0x3fee3cf06ada2803),
+        (0.5, 8, 295, None, 0x40255ae6b6d0388b, 0x3fede23f402d365e),
+        (2.0, 1, 1200, None, 0x40428435878c73b0, 0x3fee192f47cf4e0a),
+        (2.0, 2, 1200, None, 0x4042283b3edec90c, 0x3fee0fdb31dd9f4a),
+        (2.0, 3, 1200, None, 0x4043e4e236fd3fa4, 0x3fee0fb754d478e0),
+        (2.0, 4, 1200, None, 0x40424a4825cb368b, 0x3fee1a7a1ed9912d),
+        (2.0, 5, 1200, None, 0x4041e2c5c340459d, 0x3fee201f45b9b8d7),
+        (2.0, 6, 1200, None, 0x4042b3743a65e9e1, 0x3fee28322944d4e9),
+        (2.0, 7, 1200, None, 0x40433746d88e8dfe, 0x3fee169a66771fa2),
+        (2.0, 8, 1200, None, 0x40425db3cf12fd03, 0x3fee185e934b91c6),
+    ];
+
+    #[test]
+    fn run_rate_keeps_every_bit() {
+        for (rate, seed, entrants, frozen_at, energy, durability) in PINNED {
+            let o = run_rate(rate, 600, seed);
+            let got =
+                (o.entrants, o.frozen_at, o.final_energy.to_bits(), o.final_durability.to_bits());
+            assert_eq!(got, (entrants, frozen_at, energy, durability), "rate {rate} seed {seed}");
+        }
     }
 }

@@ -131,7 +131,7 @@ fn actor_network_reacts_to_the_experiments_conclusions() {
     let mut frozen_at = None;
     for step in 0..300 {
         let admitted = churn.step(&mut net, &mut rng);
-        if det.observe(admitted, net.tussle_energy()) && frozen_at.is_none() {
+        if det.observe(admitted, || net.tussle_energy()) && frozen_at.is_none() {
             frozen_at = Some(step);
         }
     }
