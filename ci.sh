@@ -49,6 +49,7 @@ timed_test "actors/oracle_freezing"        -p tussle-actors      --test oracle_f
 timed_test "cli/oracle_parse"              -p tussle-cli         --test oracle_parse
 timed_test "econ/prop_ledger"              -p tussle-econ        --test prop_ledger
 timed_test "experiments/chaos_campaign"    -p tussle-experiments --test chaos_campaign
+timed_test "experiments/oracle_fuzz"       -p tussle-experiments --test oracle_fuzz
 timed_test "experiments/prop_recovery"     -p tussle-experiments --test prop_recovery
 timed_test "experiments/recovery_oracle"   -p tussle-experiments --test recovery_oracle
 timed_test "game/prop_games"               -p tussle-game        --test prop_games
@@ -421,14 +422,15 @@ if [[ -n "$untracked_corpus" ]]; then
 fi
 echo "corpus hygiene OK: every tests/corpus entry is tracked"
 
-echo "==> perf baseline: BENCH_sim.json from the obs + sweep + net + checkpoint + fuzz + substrates benches"
+echo "==> perf baseline: BENCH_sim.json from the obs + sweep + net + checkpoint + fuzz + substrates + chaos + ablations benches"
 bench_jsonl="$(mktemp)"
 trap 'rm -f "$bench_jsonl"' EXIT
-CRITERION_JSON="$bench_jsonl" cargo bench -p tussle-bench --bench obs --bench sweep --bench net --bench checkpoint --bench fuzz --bench substrates
+CRITERION_JSON="$bench_jsonl" cargo bench -p tussle-bench --bench obs --bench sweep --bench net --bench checkpoint --bench fuzz --bench substrates --bench chaos --bench ablations
 jq -s 'sort_by(.bench)' "$bench_jsonl" > BENCH_sim.json
 jq -e '
   (length >= 12)
   and ([.[] | has("bench") and has("median_ns")] | all)
+  and ([.[] | has("samples") and has("min_ns") and has("q1_ns") and has("q3_ns")] | all)
   and ([.[].median_ns | . > 0] | all)
   and ([.[].bench] | any(startswith("obs/")))
   and ([.[].bench] | any(startswith("sweep/")))
@@ -436,6 +438,8 @@ jq -e '
   and ([.[].bench] | any(startswith("checkpoint/")))
   and ([.[].bench] | any(startswith("fuzz/")))
   and ([.[].bench] | any(startswith("layer/")))
+  and ([.[].bench] | any(startswith("chaos/")))
+  and ([.[].bench] | any(startswith("ablation/")))
 ' BENCH_sim.json > /dev/null
 echo "perf baseline OK: $(jq length BENCH_sim.json) benches recorded in BENCH_sim.json"
 

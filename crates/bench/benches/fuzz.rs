@@ -7,11 +7,13 @@
 //! 2. `fuzz/run-scenario` — one scenario executed end to end with every
 //!    always-on oracle (packet conservation, route validity, money
 //!    conservation, NAT round-trip, policy determinism) attached.
-//! 3. `fuzz/oracles` — the sampled cross-run oracles, priced individually:
-//!    rerun-determinism (2× runs), cache-equivalence (cache-on vs
-//!    cache-off) and checkpoint-resume (run + snapshot + replay), plus a
+//! 3. `fuzz/oracles` — the sampled cross-run oracles in their standalone
+//!    forms, priced individually: rerun-determinism (a Profile-mode run,
+//!    then a Cost-scope rerun), cache-equivalence (cache-on vs cache-off
+//!    engine runs) and checkpoint-resume (run + snapshot + replay), plus a
 //!    small end-to-end campaign so oracle overhead can be read against
-//!    total campaign cost.
+//!    total campaign cost. Inside a campaign the first two skip their
+//!    reference run: they check the run `run_scenario` already made.
 //!
 //! ```sh
 //! cargo bench -p tussle-bench --bench fuzz

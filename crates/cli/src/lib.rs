@@ -2542,6 +2542,23 @@ mod tests {
     }
 
     #[test]
+    fn health_reads_the_median_from_a_sidecar_carrying_its_spread() {
+        // The bench harness writes the sample count, minimum and quartiles
+        // beside each median; the loader picks `median_ns` by name.
+        let path = std::env::temp_dir()
+            .join(format!("tussle-cli-health-{}-spread.json", std::process::id()));
+        std::fs::write(
+            &path,
+            "[\n  {\"bench\": \"econ/settle\", \"median_ns\": 1000, \"samples\": 20, \
+             \"min_ns\": 900, \"q1_ns\": 950, \"q3_ns\": 1100}\n]\n",
+        )
+        .unwrap();
+        let loaded = load_bench_sidecar(&path.display().to_string());
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.unwrap(), vec![("econ/settle".to_owned(), 1000.0)]);
+    }
+
+    #[test]
     fn bench_thresholds_tier_by_family() {
         assert!(bench_threshold("obs/dispatch_traced_disabled") < bench_threshold("econ/settle"));
         assert!(bench_threshold("econ/settle") < bench_threshold("scale/forward_10k"));

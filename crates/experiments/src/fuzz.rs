@@ -274,6 +274,9 @@ impl Violation {
 pub struct ScenarioOutcome {
     /// Folded digest of the engine run + observation record.
     pub digest: String,
+    /// Digest of the engine half alone (route cache on): what
+    /// `cache-equivalence` compares against a cache-off run.
+    pub engine_digest: RunDigest,
     /// Coverage cells (`topic@depth`) the run lit up.
     pub coverage: BTreeSet<String>,
     /// Oracle violations, if any.
@@ -934,13 +937,52 @@ fn run_offline_elements(s: &Scenario) -> Vec<Violation> {
     violations
 }
 
-/// Execute one scenario under a Profile observation scope and check the
-/// always-on oracles. Deterministic in the scenario alone.
-pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
-    let guard = obs::begin(obs::ObsMode::Profile);
+/// Run the engine half (topology, flows, faults and probes) with the route
+/// cache on or off and return the engine's digest. Opens no observation
+/// scope: the engine digest covers only the engine's own trace and
+/// metrics, so it reads the same under any scope the caller holds.
+pub fn engine_digest(s: &Scenario, route_cache: bool) -> RunDigest {
+    let mut world = build_world(s, route_cache);
+    world.engine.run_budgeted(&RunBudget::events(MAX_EVENTS));
+    world.engine.digest()
+}
+
+/// One execution of a scenario, before any oracle looks at it.
+struct Execution {
+    world: BuiltWorld,
+    completed: bool,
+    /// Violations from the off-engine elements.
+    offline: Vec<Violation>,
+    engine_digest: RunDigest,
+    record: obs::RunRecord,
+    /// The engine digest folded with the observation record's digest.
+    digest: String,
+}
+
+/// Run the engine half with the route cache on, then the off-engine
+/// elements, inside one observation scope of `mode`, and fold the digest.
+/// The digest does not depend on the mode: Profile adds only the ring,
+/// topics, provenance and wall time to the record, none of them hashed.
+fn execute(s: &Scenario, mode: obs::ObsMode) -> Execution {
+    let guard = obs::begin(mode);
     let mut world = build_world(s, true);
     let report = world.engine.run_budgeted(&RunBudget::events(MAX_EVENTS));
     let completed = report.outcome.completed();
+    let engine_digest = world.engine.digest();
+    let offline = run_offline_elements(s);
+    let record = guard.finish();
+    let mut h = Fnv1a::new();
+    h.write_str(&engine_digest.to_hex());
+    h.write_str(&record.digest.to_hex());
+    let digest = RunDigest(h.finish()).to_hex();
+    Execution { world, completed, offline, engine_digest, record, digest }
+}
+
+/// Execute one scenario under a Profile observation scope and check the
+/// always-on oracles. Deterministic in the scenario alone.
+pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
+    let Execution { world, completed, offline, engine_digest, record, digest } =
+        execute(s, obs::ObsMode::Profile);
 
     let mut violations = world.probe_violations.borrow().clone();
     let mut delivered_total = 0u64;
@@ -967,6 +1009,7 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
             ));
         }
     }
+    violations.extend(offline);
 
     // Counter-derived coverage: which delivery outcomes this scenario
     // reached, with flow labels stripped so cells compare across
@@ -987,10 +1030,6 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
         }
     }
 
-    let engine_digest = world.engine.digest();
-    violations.extend(run_offline_elements(s));
-    let record = guard.finish();
-
     // Observation-derived coverage: topics seen and (topic, depth) span
     // shapes from the Profile ring, each distinct shape formatted once.
     for topic in record.topics.keys() {
@@ -1002,11 +1041,9 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
         coverage.insert(format!("{topic}@{depth}"));
     }
 
-    let mut h = Fnv1a::new();
-    h.write_str(&engine_digest.to_hex());
-    h.write_str(&record.digest.to_hex());
     ScenarioOutcome {
-        digest: RunDigest(h.finish()).to_hex(),
+        digest,
+        engine_digest,
         coverage,
         violations,
         delivered: delivered_total,
@@ -1019,33 +1056,41 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
 // Sampled re-execution oracles
 // ---------------------------------------------------------------------------
 
-/// Rerun the scenario and compare digests (`rerun-determinism`).
-pub fn check_rerun_determinism(s: &Scenario) -> Option<Violation> {
-    let a = run_scenario(s);
-    let b = run_scenario(s);
-    (a.digest != b.digest).then(|| {
+/// `rerun-determinism` against a run already made: one Cost-scope rerun
+/// must reproduce `digest`, the folded digest of [`run_scenario`].
+fn rerun_determinism(s: &Scenario, digest: &str) -> Option<Violation> {
+    let rerun = execute(s, obs::ObsMode::Cost).digest;
+    (rerun != digest).then(|| {
         Violation::new(
             "rerun-determinism",
-            format!("digest {} vs {} across identical reruns", a.digest, b.digest),
+            format!("digest {digest} vs {rerun} across identical reruns"),
         )
     })
 }
 
-/// Run the engine half with the route cache on and off; digests must
-/// agree byte-for-byte (`cache-equivalence`).
-pub fn check_cache_equivalence(s: &Scenario) -> Option<Violation> {
-    let run = |cache: bool| {
-        let mut world = build_world(s, cache);
-        world.engine.run_budgeted(&RunBudget::events(MAX_EVENTS));
-        world.engine.digest().to_hex()
-    };
-    let (on, off) = (run(true), run(false));
-    (on != off).then(|| {
+/// `cache-equivalence` against a run already made: one cache-off engine
+/// run must reproduce `cache_on`, the engine digest of a cache-on run.
+fn cache_equivalence(s: &Scenario, cache_on: RunDigest) -> Option<Violation> {
+    let cache_off = engine_digest(s, false);
+    (cache_on != cache_off).then(|| {
         Violation::new(
             "cache-equivalence",
-            format!("route cache on/off digests diverge: {on} vs {off}"),
+            format!("route cache on/off digests diverge: {cache_on} vs {cache_off}"),
         )
     })
+}
+
+/// Run the scenario, then rerun it and compare digests
+/// (`rerun-determinism`). A campaign checks the run it already holds.
+pub fn check_rerun_determinism(s: &Scenario) -> Option<Violation> {
+    rerun_determinism(s, &run_scenario(s).digest)
+}
+
+/// Run the engine half with the route cache on and off; digests must
+/// agree byte-for-byte (`cache-equivalence`). A campaign checks the
+/// cache-on run it already holds.
+pub fn check_cache_equivalence(s: &Scenario) -> Option<Violation> {
+    cache_equivalence(s, engine_digest(s, true))
 }
 
 /// Crash the engine run at an event boundary, restore from the checkpoint
@@ -1379,11 +1424,11 @@ fn run_chain(chain_seed: u64, budget: u64) -> ChainResult {
         let mut violations = outcome.violations.clone();
         if i % RERUN_STRIDE == 1 {
             *checks.entry("rerun-determinism".into()).or_insert(0) += 1;
-            violations.extend(check_rerun_determinism(&scenario));
+            violations.extend(rerun_determinism(&scenario, &outcome.digest));
         }
         if i % CACHE_STRIDE == 2 {
             *checks.entry("cache-equivalence".into()).or_insert(0) += 1;
-            violations.extend(check_cache_equivalence(&scenario));
+            violations.extend(cache_equivalence(&scenario, outcome.engine_digest));
         }
         if i % CHECKPOINT_STRIDE == 3 {
             *checks.entry("checkpoint-resume".into()).or_insert(0) += 1;

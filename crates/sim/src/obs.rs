@@ -332,6 +332,19 @@ impl ObsState {
         }
     }
 
+    /// Profile mode: add one event or span to `topic`'s attribution. The
+    /// key is allocated only the first time a topic is seen.
+    fn attribute(&mut self, topic: &str, virtual_micros: u64, wall_nanos: u64) {
+        if let Some(t) = self.topics.get_mut(topic) {
+            t.events += 1;
+            t.virtual_micros += virtual_micros;
+            t.wall_nanos += wall_nanos;
+        } else {
+            self.topics
+                .insert(topic.to_owned(), TopicCost { events: 1, virtual_micros, wall_nanos });
+        }
+    }
+
     /// Profile mode: retain `entry` in the bounded ring, with the rolling
     /// digest after it — `Fnv1a::finish` is non-consuming, so the prefix
     /// stream costs one push.
@@ -550,13 +563,9 @@ pub fn on_metric_observe(key: &str, value: f64) {
 #[inline]
 pub fn on_handler(topic: &str, virtual_micros: u64, wall_nanos: u64) {
     with_state(|s| {
-        if s.mode != ObsMode::Profile {
-            return;
+        if s.mode == ObsMode::Profile {
+            s.attribute(topic, virtual_micros, wall_nanos);
         }
-        let t = s.topics.entry(topic.to_owned()).or_default();
-        t.events += 1;
-        t.virtual_micros += virtual_micros;
-        t.wall_nanos += wall_nanos;
     });
 }
 
@@ -605,13 +614,11 @@ pub fn span_exit(time: SimTime, fields: &[(&str, &str)]) {
             depth: s.open.len() as u32,
         });
         if let Some(entered_at) = span.entered_at {
-            if !s.topics.contains_key(topic) {
-                s.topics.insert(topic.to_owned(), TopicCost::default());
-            }
-            let t = s.topics.get_mut(topic).expect("topic just ensured");
-            t.events += 1;
-            t.virtual_micros += time.as_micros().saturating_sub(span.entered_micros);
-            t.wall_nanos += entered_at.elapsed().as_nanos() as u64;
+            s.attribute(
+                topic,
+                time.as_micros().saturating_sub(span.entered_micros),
+                entered_at.elapsed().as_nanos() as u64,
+            );
         }
         open_topics.truncate(span.topic_at);
         s.open_topics = open_topics;
