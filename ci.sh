@@ -50,6 +50,7 @@ timed_test "cli/oracle_parse"              -p tussle-cli         --test oracle_p
 timed_test "econ/prop_ledger"              -p tussle-econ        --test prop_ledger
 timed_test "experiments/chaos_campaign"    -p tussle-experiments --test chaos_campaign
 timed_test "experiments/oracle_fuzz"       -p tussle-experiments --test oracle_fuzz
+timed_test "experiments/profile_allocations" -p tussle-experiments --test profile_allocations
 timed_test "experiments/prop_recovery"     -p tussle-experiments --test prop_recovery
 timed_test "experiments/recovery_oracle"   -p tussle-experiments --test recovery_oracle
 timed_test "game/prop_games"               -p tussle-game        --test prop_games
@@ -64,6 +65,7 @@ timed_test "core/prop_scoreboard"          -p tussle-core        --test prop_sco
 timed_test "sim/prop_chaos"                -p tussle-sim         --test prop_chaos
 timed_test "sim/prop_checkpoint"           -p tussle-sim         --test prop_checkpoint
 timed_test "sim/prop_engine"               -p tussle-sim         --test prop_engine
+timed_test "sim/log_eviction"              -p tussle-sim         --test log_eviction
 timed_test "sim/prop_export"               -p tussle-sim         --test prop_export
 timed_test "sim/prop_obs"                  -p tussle-sim         --test prop_obs
 timed_test "sim/prop_provenance"           -p tussle-sim         --test prop_provenance
@@ -431,8 +433,10 @@ jq -e '
   (length >= 12)
   and ([.[] | has("bench") and has("median_ns")] | all)
   and ([.[] | has("samples") and has("min_ns") and has("q1_ns") and has("q3_ns")] | all)
+  and ([.[] | has("nproc") and has("profile")] | all)
   and ([.[].median_ns | . > 0] | all)
   and ([.[].bench] | any(startswith("obs/")))
+  and ([.[].bench] | any(. == "obs/experiments_profile_scope"))
   and ([.[].bench] | any(startswith("sweep/")))
   and ([.[].bench] | any(startswith("net/")))
   and ([.[].bench] | any(startswith("checkpoint/")))

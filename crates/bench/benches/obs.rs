@@ -7,9 +7,11 @@
 //! building them. This bench pins that down with an event-dispatch
 //! workload — the engine loop where the hooks live — comparing handlers
 //! that call the (disabled) trace against handlers that do not, and
-//! asserts the ratio stays under 1.05. `export_chrome_e17` and
-//! `export_jsonl_e17` render E17's profiled record (seed 2002), the
-//! largest trace ring in the registry.
+//! asserts the ratio stays under 1.05. `experiments_profile_scope` runs
+//! the registry under one Profile scope, the capture every `trace`,
+//! `explain`, `diff` and export pays for, beside the unobserved and Cost
+//! runs. `export_chrome_e17` and `export_jsonl_e17` render E17's profiled
+//! record (seed 2002), the largest trace log in the registry.
 //!
 //! ```sh
 //! cargo bench -p tussle-bench --bench obs
@@ -70,15 +72,20 @@ fn bench_obs(c: &mut Criterion) {
             }
         })
     });
-    g.bench_function("experiments_cost_scope", |b| {
-        b.iter(|| {
-            let guard = obs::begin(obs::ObsMode::Cost);
-            for (_, run) in registry() {
-                black_box(run(black_box(2002)));
-            }
-            black_box(guard.finish());
-        })
-    });
+    for (id, mode) in [
+        ("experiments_cost_scope", obs::ObsMode::Cost),
+        ("experiments_profile_scope", obs::ObsMode::Profile),
+    ] {
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                let guard = obs::begin(mode);
+                for (_, run) in registry() {
+                    black_box(run(black_box(2002)));
+                }
+                black_box(guard.finish());
+            })
+        });
+    }
     let (name, run) =
         registry().into_iter().find(|(name, _)| *name == "E17").expect("E17 is registered");
     let (_, e17) = run_profiled(name, run, 2002);

@@ -2559,6 +2559,24 @@ mod tests {
     }
 
     #[test]
+    fn health_reads_a_sidecar_carrying_its_host_record() {
+        // Each line also records the host's core count and the build
+        // profile, a number and a string the loader steps over.
+        let path = std::env::temp_dir()
+            .join(format!("tussle-cli-health-{}-host.json", std::process::id()));
+        std::fs::write(
+            &path,
+            "[\n  {\"bench\": \"obs/experiments_profile_scope\", \"median_ns\": 2000, \
+             \"samples\": 10, \"min_ns\": 1900, \"q1_ns\": 1950, \"q3_ns\": 2100, \
+             \"nproc\": 2, \"profile\": \"release\"}\n]\n",
+        )
+        .unwrap();
+        let loaded = load_bench_sidecar(&path.display().to_string());
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.unwrap(), vec![("obs/experiments_profile_scope".to_owned(), 2000.0)]);
+    }
+
+    #[test]
     fn bench_thresholds_tier_by_family() {
         assert!(bench_threshold("obs/dispatch_traced_disabled") < bench_threshold("econ/settle"));
         assert!(bench_threshold("econ/settle") < bench_threshold("scale/forward_10k"));

@@ -192,9 +192,9 @@ type FirstEntryIndex<'a> = BTreeMap<u64, (&'a str, &'a str)>;
 fn index_run(record: &RunRecord) -> (NodeIndex<'_>, FirstEntryIndex<'_>) {
     let nodes: NodeIndex<'_> = record.provenance.iter().map(|n| (n.id.0, n)).collect();
     let mut first_entry: FirstEntryIndex<'_> = BTreeMap::new();
-    for e in &record.ring {
+    for e in record.ring.iter() {
         if let Some(ev) = e.event {
-            first_entry.entry(ev.0).or_insert((e.topic.as_str(), e.message.as_str()));
+            first_entry.entry(ev.0).or_insert((e.topic, e.message));
         }
     }
     (nodes, first_entry)
@@ -411,11 +411,10 @@ fn first_divergence(a: &[u64], b: &[u64]) -> (Option<u64>, u64) {
 
 /// Build one side's view of the divergence at absorbed-entry `index`.
 fn side_at(record: &RunRecord, index: u64) -> DiffSide {
-    // The capture ring is bounded; absorbed-entry index i lives at ring
-    // slot i - ring_dropped when it is still retained.
-    let slot = |i: u64| -> Option<&tussle_sim::TraceEntry> {
-        i.checked_sub(record.ring_dropped).and_then(|s| record.ring.get(s as usize))
-    };
+    // The capture log is bounded; absorbed-entry index i lives at log
+    // slot i - dropped when it is still retained.
+    let slot =
+        |i: u64| i.checked_sub(record.ring.dropped()).and_then(|s| record.ring.get(s as usize));
     let entry = slot(index);
     let context = (index.saturating_sub(DIFF_CONTEXT as u64)..index)
         .filter_map(slot)

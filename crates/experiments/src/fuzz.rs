@@ -1031,12 +1031,12 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
     }
 
     // Observation-derived coverage: topics seen and (topic, depth) span
-    // shapes from the Profile ring, each distinct shape formatted once.
+    // shapes from the Profile log, each distinct shape formatted once.
     for topic in record.topics.keys() {
         coverage.insert(format!("{topic}@*"));
     }
     let shapes: BTreeSet<(&str, u32)> =
-        record.ring.iter().map(|entry| (entry.topic.as_str(), entry.depth)).collect();
+        record.ring.iter().map(|entry| (entry.topic, entry.depth)).collect();
     for (topic, depth) in shapes {
         coverage.insert(format!("{topic}@{depth}"));
     }

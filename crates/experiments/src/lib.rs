@@ -189,8 +189,8 @@ pub(crate) fn run_isolated(
 
 /// Run one experiment under a Profile-mode observation scope, with panic
 /// isolation. Returns the report (with its cost appendix) and the full
-/// [`RunRecord`] — per-topic attribution, wall time and the captured trace
-/// ring — for `tussle-cli profile` / `tussle-cli trace`.
+/// [`RunRecord`] — per-topic attribution, wall time and the captured entry
+/// log — for `tussle-cli profile` / `tussle-cli trace`.
 pub fn run_profiled(
     name: &str,
     run: fn(u64) -> ExperimentReport,

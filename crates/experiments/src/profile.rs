@@ -132,7 +132,7 @@ pub fn trace_dump(
     let mut matched = 0usize;
     for (name, run) in selected {
         let (_, record) = crate::run_profiled(name, run, seed);
-        let matching: Vec<&TraceEntry> = record
+        let matching: Vec<_> = record
             .ring
             .iter()
             .filter(|e| grep.is_none_or(|prefix| e.topic.starts_with(prefix)))
@@ -145,8 +145,8 @@ pub fn trace_dump(
                 Some(g) => format!(" matching '{g}' of {} captured", record.ring.len()),
                 None => String::new(),
             },
-            if record.ring_dropped > 0 {
-                format!(", {} dropped by the capture ring", record.ring_dropped)
+            if record.ring.dropped() > 0 {
+                format!(", {} dropped by the capture ring", record.ring.dropped())
             } else {
                 String::new()
             }
@@ -212,15 +212,16 @@ pub fn trace_json(
         let captured = record.ring.len() as u64;
         let entries: Vec<TraceEntry> = record
             .ring
-            .into_iter()
+            .iter()
             .filter(|e| grep.is_none_or(|prefix| e.topic.starts_with(prefix)))
+            .map(|e| e.to_entry())
             .collect();
         matched += entries.len();
         dumps.push(TraceJson {
             experiment: name.to_owned(),
             seed,
             captured,
-            dropped: record.ring_dropped,
+            dropped: record.ring.dropped(),
             matched: entries.len() as u64,
             entries,
         });

@@ -1,8 +1,8 @@
 //! Deterministic exporters over an observed run.
 //!
-//! Everything here renders from a [`RunRecord`] — the trace ring, the
-//! provenance DAG, the accumulated metrics and the stakeholder fold — into
-//! interchange formats:
+//! Everything here renders from a [`RunRecord`] — the captured entry log,
+//! the provenance DAG, the accumulated metrics and the stakeholder fold —
+//! into interchange formats:
 //!
 //! * [`to_chrome`] — Chrome/Perfetto trace-event JSON. Spans become `B`/`E`
 //!   duration events, point entries become `i` instants, and provenance
@@ -12,7 +12,8 @@
 //! * [`to_prometheus`] — Prometheus text exposition of the accumulated
 //!   [`MetricsSnapshot`](crate::metrics::MetricsSnapshot) plus stakeholder
 //!   and topic attribution.
-//! * [`to_jsonl`] — one serialized [`TraceEntry`] per line.
+//! * [`to_jsonl`] — one serialized [`TraceEntry`](crate::TraceEntry) per
+//!   line.
 //!
 //! Every exporter uses only virtual-time fields (`ts` is virtual
 //! microseconds; wall clocks never appear), so output for a fixed seed is
@@ -20,7 +21,7 @@
 //! reports and collapsed stacks already hold.
 
 use crate::obs::{RunRecord, UNATTRIBUTED};
-use crate::trace::{SpanKind, TraceEntry};
+use crate::trace::SpanKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -59,12 +60,31 @@ pub(crate) fn push_json_str(out: &mut String, s: &str, serde_bf: bool) {
     out.push('"');
 }
 
+/// Append `v` in decimal. The exporters write several integers per entry,
+/// and this skips the formatting machinery `write!` goes through.
+pub(crate) fn push_u64(out: &mut String, v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = v;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
+}
+
 /// Resolve the stakeholder lane of one entry against the current lane
 /// stack — the same inheritance rule `obs` uses for the scoreboard fold:
 /// an explicit annotation wins, otherwise the enclosing span's lane,
 /// otherwise [`UNATTRIBUTED`].
-fn resolve_lane<'a>(entry: &'a TraceEntry, stack: &[&'a str]) -> &'a str {
-    entry.stakeholder.as_deref().or_else(|| stack.last().copied()).unwrap_or(UNATTRIBUTED)
+fn resolve_lane<'a>(stakeholder: Option<&'a str>, stack: &[&'a str]) -> &'a str {
+    stakeholder.or_else(|| stack.last().copied()).unwrap_or(UNATTRIBUTED)
 }
 
 /// Assign one pseudo-pid per stakeholder lane: pids are 1-based indices
@@ -77,8 +97,8 @@ fn lane_pids(record: &RunRecord) -> BTreeMap<&str, u64> {
     // A ring replay can only surface lanes the scoreboard fold already saw,
     // but hand-built records may carry a ring without a fold — cover both.
     let mut stack: Vec<&str> = Vec::new();
-    for entry in &record.ring {
-        let lane = resolve_lane(entry, &stack);
+    for entry in record.ring.iter() {
+        let lane = resolve_lane(entry.stakeholder, &stack);
         lanes.entry(lane).or_insert(0);
         match entry.kind {
             SpanKind::Enter => stack.push(lane),
@@ -98,19 +118,22 @@ fn lane_pids(record: &RunRecord) -> BTreeMap<&str, u64> {
 pub const ENGINE_LANE: &str = "engine.schedule";
 
 /// Append an args object from span fields, keys sorted (last write wins on
-/// duplicates) — jq's `--sort-keys` validation must be a no-op. `order` is
+/// duplicates) — jq's `--sort-keys` validation must be a no-op. `sorted` is
 /// scratch space reused across entries.
-fn write_args(out: &mut String, fields: &[(String, String)], order: &mut Vec<usize>) {
-    order.clear();
-    order.extend(0..fields.len());
+fn write_args<'a>(
+    out: &mut String,
+    fields: impl Iterator<Item = (&'a str, &'a str)>,
+    sorted: &mut Vec<(&'a str, &'a str)>,
+) {
+    sorted.clear();
+    sorted.extend(fields);
     // Stable: equal keys keep field order, so the last of each run of equal
     // keys is the last write.
-    order.sort_by(|&a, &b| fields[a].0.cmp(&fields[b].0));
+    sorted.sort_by(|a, b| a.0.cmp(b.0));
     out.push('{');
     let mut sep = "";
-    for (n, &i) in order.iter().enumerate() {
-        let (k, v) = &fields[i];
-        if order.get(n + 1).is_some_and(|&next| fields[next].0 == *k) {
+    for (n, &(k, v)) in sorted.iter().enumerate() {
+        if sorted.get(n + 1).is_some_and(|next| next.0 == k) {
             continue;
         }
         out.push_str(sep);
@@ -123,20 +146,26 @@ fn write_args(out: &mut String, fields: &[(String, String)], order: &mut Vec<usi
 }
 
 /// Append one `B`/`E` duration event.
-fn write_span_edge(
+fn write_span_edge<'a>(
     out: &mut String,
     ph: &str,
-    fields: &[(String, String)],
-    order: &mut Vec<usize>,
+    fields: impl Iterator<Item = (&'a str, &'a str)>,
+    sorted: &mut Vec<(&'a str, &'a str)>,
     topic: &str,
     pid: u64,
     ts: u64,
 ) {
     out.push_str("{\"args\":");
-    write_args(out, fields, order);
+    write_args(out, fields, sorted);
     out.push_str(",\"name\":");
     push_json_str(out, topic, false);
-    let _ = write!(out, ",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":1,\"ts\":{ts}}}");
+    out.push_str(",\"ph\":\"");
+    out.push_str(ph);
+    out.push_str("\",\"pid\":");
+    push_u64(out, pid);
+    out.push_str(",\"tid\":1,\"ts\":");
+    push_u64(out, ts);
+    out.push('}');
 }
 
 /// Export the captured trace ring + provenance DAG as Chrome trace-event
@@ -184,23 +213,23 @@ pub fn to_chrome(record: &RunRecord) -> String {
         );
     }
 
-    // Replay the ring with a lane stack; (topic, pid) of each open span so
+    // Replay the log with a lane stack; (topic, pid) of each open span so
     // close edges land on the lane that opened them.
-    let mut order = Vec::new();
+    let mut sorted = Vec::new();
     let mut stack: Vec<&str> = Vec::new();
     let mut open: Vec<(&str, u64)> = Vec::new();
     let mut last_ts = 0u64;
-    for entry in &record.ring {
+    for entry in record.ring.iter() {
         let ts = entry.time.as_micros();
         last_ts = last_ts.max(ts);
         match entry.kind {
             SpanKind::Enter => {
-                let lane = resolve_lane(entry, &stack);
+                let lane = resolve_lane(entry.stakeholder, &stack);
                 let pid = lanes[lane];
                 sep(&mut out);
-                write_span_edge(&mut out, "B", &entry.fields, &mut order, &entry.topic, pid, ts);
+                write_span_edge(&mut out, "B", entry.fields, &mut sorted, entry.topic, pid, ts);
                 stack.push(lane);
-                open.push((&entry.topic, pid));
+                open.push((entry.topic, pid));
             }
             SpanKind::Exit => {
                 stack.pop();
@@ -208,25 +237,28 @@ pub fn to_chrome(record: &RunRecord) -> String {
                 // nothing — output B/E stay balanced.
                 if let Some((topic, pid)) = open.pop() {
                     sep(&mut out);
-                    write_span_edge(&mut out, "E", &entry.fields, &mut order, topic, pid, ts);
+                    write_span_edge(&mut out, "E", entry.fields, &mut sorted, topic, pid, ts);
                 }
             }
             SpanKind::Event => {
-                let pid = lanes[resolve_lane(entry, &stack)];
+                let pid = lanes[resolve_lane(entry.stakeholder, &stack)];
                 sep(&mut out);
                 out.push_str("{\"args\":{\"message\":");
-                push_json_str(&mut out, &entry.message, false);
+                push_json_str(&mut out, entry.message, false);
                 out.push_str("},\"name\":");
-                push_json_str(&mut out, &entry.topic, false);
-                let _ =
-                    write!(out, ",\"ph\":\"i\",\"pid\":{pid},\"s\":\"t\",\"tid\":1,\"ts\":{ts}}}");
+                push_json_str(&mut out, entry.topic, false);
+                out.push_str(",\"ph\":\"i\",\"pid\":");
+                push_u64(&mut out, pid);
+                out.push_str(",\"s\":\"t\",\"tid\":1,\"ts\":");
+                push_u64(&mut out, ts);
+                out.push('}');
             }
         }
     }
     // Close spans the capture never saw exit, newest first.
     while let Some((topic, pid)) = open.pop() {
         sep(&mut out);
-        write_span_edge(&mut out, "E", &[], &mut order, topic, pid, last_ts);
+        write_span_edge(&mut out, "E", std::iter::empty(), &mut sorted, topic, pid, last_ts);
     }
 
     // Provenance edges as flow events on the synthetic engine lane.
@@ -330,13 +362,13 @@ pub fn to_prometheus(record: &RunRecord) -> String {
     out
 }
 
-/// Export the captured trace ring as JSON Lines: one serialized
-/// [`TraceEntry`] per line, oldest first, streamed into one pre-sized
-/// buffer by [`TraceEntry::write_json`].
+/// Export the captured entry log as JSON Lines: one serialized
+/// [`TraceEntry`](crate::TraceEntry) per line, oldest first, streamed into
+/// one pre-sized buffer by [`EntryParts::write_json`](crate::trace::EntryParts::write_json).
 pub fn to_jsonl(record: &RunRecord) -> String {
     // Registry runs render about 145 bytes per entry.
     let mut out = String::with_capacity(160 * record.ring.len());
-    for entry in &record.ring {
+    for entry in record.ring.iter() {
         entry.write_json(&mut out);
         out.push('\n');
     }
@@ -438,10 +470,22 @@ mod tests {
         let rec = sample_record();
         let out = to_jsonl(&rec);
         assert_eq!(out.lines().count(), rec.ring.len());
-        for (line, entry) in out.lines().zip(&rec.ring) {
-            assert_eq!(line, serde_json::to_string(entry).unwrap(), "the bytes serde renders");
-            let back: TraceEntry = serde_json::from_str(line).expect("round-trips");
-            assert_eq!(&back, entry);
+        for (line, entry) in out.lines().zip(rec.ring.iter()) {
+            let entry = entry.to_entry();
+            assert_eq!(line, serde_json::to_string(&entry).unwrap(), "the bytes serde renders");
+            let back: crate::TraceEntry = serde_json::from_str(line).expect("round-trips");
+            assert_eq!(back, entry);
+        }
+    }
+
+    #[test]
+    fn decimal_integers_render_as_display_does() {
+        let mut values = vec![0, 9, 10, 99, 100, u64::MAX];
+        values.extend((1..20).map(|k| 10u64.pow(k) - 1));
+        for v in values {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
         }
     }
 

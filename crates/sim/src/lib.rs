@@ -25,6 +25,8 @@
 //! * [`obs`] — an ambient per-run observation scope: cost counters
 //!   (events, rng draws, forwards), a rolling digest, and Profile-mode
 //!   per-topic time attribution, all zero-cost when disabled.
+//! * [`log`] — the bounded, arena-backed entry log a Profile scope
+//!   captures, read in place by every trace view and exporter.
 //! * [`provenance`] — the causal DAG of which event scheduled which:
 //!   every dispatch records its parent event and originating span, with
 //!   bounded capture and ancestry walks ("why did this event run?").
@@ -67,6 +69,7 @@ pub mod event;
 pub mod export;
 pub mod fault;
 pub mod flame;
+pub mod log;
 pub mod metrics;
 pub mod obs;
 pub mod plan;
@@ -85,6 +88,7 @@ pub use engine::{Ctx, Engine, RunBudget, RunOutcome, RunReport};
 pub use event::{EventFn, EventId};
 pub use export::{to_chrome, to_jsonl, to_prometheus};
 pub use fault::{FaultInjector, FaultOutcome, FaultStats};
+pub use log::TraceLog;
 pub use metrics::{
     Histogram, HistogramSummary, Metrics, MetricsSnapshot, RunSeries, TimeSeries, TimeSeriesSummary,
 };

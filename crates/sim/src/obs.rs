@@ -16,8 +16,8 @@
 //!   allocation per hook: ambient spans hash their borrowed parts and the
 //!   stakeholder fold keeps interned lanes; what sweeps and chaos
 //!   campaigns use.
-//! * **Profile** — additionally captures a bounded ring of trace entries
-//!   and per-topic virtual-time/wall-time attribution for
+//! * **Profile** — additionally captures a bounded [`TraceLog`] of trace
+//!   entries and per-topic virtual-time/wall-time attribution for
 //!   `tussle-cli profile` / `tussle-cli trace`.
 //!
 //! Wall-clock fields are **never** folded into the digest — they are
@@ -25,10 +25,11 @@
 
 use crate::digest::{Fnv1a, RunDigest};
 use crate::event::EventId;
+use crate::log::TraceLog;
 use crate::metrics::{Histogram, MetricsSnapshot, RunSeries, TimeSeries};
 use crate::provenance::ProvenanceNode;
 use crate::time::SimTime;
-use crate::trace::{EntryParts, SpanKind, TraceEntry};
+use crate::trace::{EntryParts, Fields, SpanKind, TraceEntry};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -49,8 +50,8 @@ const MODE_OFF: u8 = 0;
 const MODE_COST: u8 = 1;
 const MODE_PROFILE: u8 = 2;
 
-/// How many trace entries the Profile-mode ring retains.
-const PROFILE_RING_CAPACITY: usize = 65_536;
+/// How many provenance nodes a Profile scope retains: as many as entries.
+const PROVENANCE_CAPACITY: usize = TraceLog::CAPACITY;
 
 /// Per-topic cost attribution (Profile mode only).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,7 +96,7 @@ impl StakeholderCost {
 }
 
 /// Everything one observation scope saw.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunRecord {
     /// Engine events dispatched.
     pub events: u64,
@@ -117,10 +118,9 @@ pub struct RunRecord {
     pub wall_nanos: u64,
     /// Per-topic attribution (empty unless the scope ran in Profile mode).
     pub topics: BTreeMap<String, TopicCost>,
-    /// Captured trace entries, oldest first (Profile mode only; bounded).
-    pub ring: Vec<TraceEntry>,
-    /// Entries evicted from the Profile ring due to capacity.
-    pub ring_dropped: u64,
+    /// Captured trace entries, oldest first, with the count the bound
+    /// evicted (Profile mode only).
+    pub ring: TraceLog,
     /// Causal provenance of dispatched events, oldest first (Profile mode
     /// only; bounded). Never digested — ids are positional bookkeeping.
     pub provenance: Vec<ProvenanceNode>,
@@ -156,8 +156,7 @@ struct ObsState {
     hasher: Fnv1a,
     started: Instant,
     topics: BTreeMap<String, TopicCost>,
-    ring: VecDeque<TraceEntry>,
-    ring_dropped: u64,
+    ring: TraceLog,
     /// Open ambient spans, innermost last.
     open: Vec<OpenSpan>,
     /// The open spans' topics back to back, one reused buffer.
@@ -205,8 +204,7 @@ impl ObsState {
             hasher: Fnv1a::new(),
             started: Instant::now(),
             topics: BTreeMap::new(),
-            ring: VecDeque::new(),
-            ring_dropped: 0,
+            ring: TraceLog::default(),
             open: Vec::new(),
             open_topics: String::new(),
             current_event: None,
@@ -245,8 +243,7 @@ impl ObsState {
             digest: RunDigest(self.hasher.finish()),
             wall_nanos: self.started.elapsed().as_nanos() as u64,
             topics: self.topics,
-            ring: self.ring.into_iter().collect(),
-            ring_dropped: self.ring_dropped,
+            ring: self.ring,
             provenance: self.provenance.into_iter().collect(),
             provenance_dropped: self.provenance_dropped,
             prefix_digests: self.prefix,
@@ -267,7 +264,7 @@ impl ObsState {
 
     /// Hash one entry's parts and fold it into the counters and the
     /// stakeholder lanes.
-    fn absorb<K: AsRef<str>, V: AsRef<str>>(&mut self, entry: &EntryParts<'_, K, V>) {
+    fn absorb<'a, F: Fields<'a>>(&mut self, entry: &EntryParts<'a, F>) {
         entry.absorb_into(&mut self.hasher);
         self.trace_entries += 1;
         // Stakeholder attribution: a parallel lane stack over the span
@@ -345,25 +342,15 @@ impl ObsState {
         }
     }
 
-    /// Profile mode: retain `entry` in the bounded ring, with the rolling
-    /// digest after it — `Fnv1a::finish` is non-consuming, so the prefix
-    /// stream costs one push.
-    fn capture(&mut self, entry: TraceEntry) {
-        if self.ring.len() == PROFILE_RING_CAPACITY {
-            self.ring.pop_front();
-            self.ring_dropped += 1;
-        }
-        self.ring.push_back(entry);
-        self.prefix.push(self.hasher.finish());
-    }
-
-    /// Absorb an ambient entry from its borrowed parts; the owned entry is
-    /// built only when a Profile ring retains it.
-    fn observe<K: AsRef<str>, V: AsRef<str>>(&mut self, entry: EntryParts<'_, K, V>) {
+    /// Absorb an entry from its borrowed parts. Profile mode also copies
+    /// them into the log, with the rolling digest after them —
+    /// `Fnv1a::finish` is non-consuming, so the prefix stream costs one
+    /// push.
+    fn observe<'a, F: Fields<'a>>(&mut self, entry: EntryParts<'a, F>) {
         self.absorb(&entry);
         if self.mode == ObsMode::Profile {
-            let owned = entry.to_entry(self.current_event);
-            self.capture(owned);
+            self.ring.push(&entry);
+            self.prefix.push(self.hasher.finish());
         }
     }
 }
@@ -457,7 +444,7 @@ pub fn on_dispatch(node: &ProvenanceNode) {
         s.series_events.record(node.time, 1);
         s.current_event = Some(node.id);
         if s.mode == ObsMode::Profile {
-            if s.provenance.len() == PROFILE_RING_CAPACITY {
+            if s.provenance.len() == PROVENANCE_CAPACITY {
                 s.provenance.pop_front();
                 s.provenance_dropped += 1;
             }
@@ -494,15 +481,10 @@ pub fn on_fault(at: SimTime) {
 }
 
 /// Absorb a structured trace entry (called by [`crate::Trace`] on every
-/// record). The entry is cloned into the ring only in Profile mode.
+/// record), keeping the entry's own event stamp.
 #[inline]
 pub fn absorb_entry(entry: &TraceEntry) {
-    with_state(|s| {
-        s.absorb(&entry.parts());
-        if s.mode == ObsMode::Profile {
-            s.capture(entry.clone());
-        }
-    });
+    with_state(|s| s.observe(entry.parts()));
 }
 
 /// A counter was incremented.
@@ -581,8 +563,9 @@ pub fn span_enter(time: SimTime, topic: &str, stakeholder: Option<&str>, fields:
             topic,
             message: "",
             stakeholder,
-            fields,
+            fields: fields.iter().copied(),
             depth: s.open.len() as u32,
+            event: s.current_event,
         });
         let entered_at = (s.mode == ObsMode::Profile).then(Instant::now);
         s.open.push(OpenSpan {
@@ -610,8 +593,9 @@ pub fn span_exit(time: SimTime, fields: &[(&str, &str)]) {
             topic,
             message: "",
             stakeholder: None,
-            fields,
+            fields: fields.iter().copied(),
             depth: s.open.len() as u32,
+            event: s.current_event,
         });
         if let Some(entered_at) = span.entered_at {
             s.attribute(
@@ -634,7 +618,6 @@ pub fn event(time: SimTime, topic: &str, message: &str) {
 /// of the scoreboard fold (and its Perfetto pseudo-process) instead of
 /// inheriting the enclosing span's lane.
 pub fn event_for(time: SimTime, topic: &str, stakeholder: Option<&str>, message: &str) {
-    const NO_FIELDS: &[(&str, &str)] = &[];
     with_state(|s| {
         s.observe(EntryParts {
             kind: SpanKind::Event,
@@ -642,8 +625,9 @@ pub fn event_for(time: SimTime, topic: &str, stakeholder: Option<&str>, message:
             topic,
             message,
             stakeholder,
-            fields: NO_FIELDS,
+            fields: std::iter::empty(),
             depth: s.open.len() as u32,
+            event: s.current_event,
         });
     });
 }
@@ -758,7 +742,7 @@ mod tests {
         assert_eq!(rec.events, 2);
         assert_eq!(rec.provenance.len(), 2);
         assert_eq!(rec.provenance[1].parent, Some(EventId(0)));
-        assert_eq!(rec.ring[0].event, Some(EventId(0)), "ambient entry stamped");
+        assert_eq!(rec.ring.get(0).unwrap().event, Some(EventId(0)), "ambient entry stamped");
         assert_eq!(rec.series.events.total, 2);
         assert_eq!(rec.series.events.counts, [1, 0, 1], "bucketed by virtual time");
         assert_eq!(rec.series.forwards.total, 1);

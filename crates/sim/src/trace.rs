@@ -13,7 +13,7 @@
 
 use crate::digest::{Fnv1a, RunDigest};
 use crate::event::EventId;
-use crate::export::push_json_str;
+use crate::export::{push_json_str, push_u64};
 use crate::obs;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -56,23 +56,42 @@ pub struct TraceEntry {
     pub event: Option<EventId>,
 }
 
-/// A borrowed view of one trace entry's digested parts — everything but
-/// the `event` stamp. [`EntryParts::absorb_into`] is the one per-entry
-/// hashing recipe: owned entries ([`TraceEntry::absorb_into`]) and the
-/// ambient span hooks, which build no entry outside Profile mode, share it.
-pub(crate) struct EntryParts<'a, K, V> {
+/// The key/value pairs of a borrowed entry: an iterator that knows its
+/// length and can be walked more than once. A slice of owned pairs, a slice
+/// of borrowed pairs and a [`crate::log::TraceLog`] slot all lend one.
+pub trait Fields<'a>: Iterator<Item = (&'a str, &'a str)> + ExactSizeIterator + Clone {}
+
+impl<'a, T: Iterator<Item = (&'a str, &'a str)> + ExactSizeIterator + Clone> Fields<'a> for T {}
+
+/// One trace entry, borrowed. Owned entries ([`TraceEntry::parts`]), the
+/// ambient span hooks, which build no entry, and the Profile-mode capture
+/// log ([`crate::log::TraceLog::iter`]) all lend this form, so the
+/// per-entry hashing recipe and each rendering are written once, here.
+#[derive(Debug, Clone, Copy)]
+pub struct EntryParts<'a, F> {
+    /// Event, span-enter or span-exit.
     pub kind: SpanKind,
+    /// Virtual time at which the entry was recorded.
     pub time: SimTime,
+    /// Subsystem topic.
     pub topic: &'a str,
+    /// Human-readable message (empty for pure span edges).
     pub message: &'a str,
+    /// The tussle party this record is attributed to, if any.
     pub stakeholder: Option<&'a str>,
-    pub fields: &'a [(K, V)],
+    /// Structured key/value payload.
+    pub fields: F,
+    /// Span nesting depth at which the entry was recorded.
     pub depth: u32,
+    /// The engine event whose handler recorded this entry, when known.
+    /// Rendered, never digested (see [`TraceEntry::event`]).
+    pub event: Option<EventId>,
 }
 
-impl<K: AsRef<str>, V: AsRef<str>> EntryParts<'_, K, V> {
-    /// Absorb these parts into a hasher (the per-entry digest contribution).
-    pub(crate) fn absorb_into(&self, h: &mut Fnv1a) {
+impl<'a, F: Fields<'a>> EntryParts<'a, F> {
+    /// Absorb these parts into a hasher (the per-entry digest
+    /// contribution). `event` is excluded by design.
+    pub fn absorb_into(&self, h: &mut Fnv1a) {
         h.write_u8(match self.kind {
             SpanKind::Event => 0,
             SpanKind::Enter => 1,
@@ -89,43 +108,111 @@ impl<K: AsRef<str>, V: AsRef<str>> EntryParts<'_, K, V> {
             }
         }
         h.write_u64(self.fields.len() as u64);
-        for (k, v) in self.fields {
-            h.write_str(k.as_ref());
-            h.write_str(v.as_ref());
+        for (k, v) in self.fields.clone() {
+            h.write_str(k);
+            h.write_str(v);
         }
         h.write_u64(self.depth as u64);
     }
 
-    /// The owned entry these parts describe, stamped with `event`.
-    pub(crate) fn to_entry(&self, event: Option<EventId>) -> TraceEntry {
+    /// The owned entry these parts describe.
+    pub fn to_entry(&self) -> TraceEntry {
         TraceEntry {
             time: self.time,
             topic: self.topic.to_owned(),
             message: self.message.to_owned(),
             kind: self.kind,
             stakeholder: self.stakeholder.map(str::to_owned),
-            fields: self
-                .fields
-                .iter()
-                .map(|(k, v)| (k.as_ref().to_owned(), v.as_ref().to_owned()))
-                .collect(),
+            fields: self.fields.clone().map(|(k, v)| (k.to_owned(), v.to_owned())).collect(),
             depth: self.depth,
-            event,
+            event: self.event,
         }
+    }
+
+    /// Append this entry as one JSON object: exactly the bytes
+    /// `serde_json::to_string` renders for the owned [`TraceEntry`] (fields
+    /// in declaration order, serde's string escaping), without lowering
+    /// through a `Value` tree.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"time\":");
+        push_u64(out, self.time.as_micros());
+        out.push_str(",\"topic\":");
+        push_json_str(out, self.topic, true);
+        out.push_str(",\"message\":");
+        push_json_str(out, self.message, true);
+        out.push_str(match self.kind {
+            SpanKind::Event => ",\"kind\":\"Event\",\"stakeholder\":",
+            SpanKind::Enter => ",\"kind\":\"Enter\",\"stakeholder\":",
+            SpanKind::Exit => ",\"kind\":\"Exit\",\"stakeholder\":",
+        });
+        match self.stakeholder {
+            None => out.push_str("null"),
+            Some(s) => push_json_str(out, s, true),
+        }
+        out.push_str(",\"fields\":[");
+        for (i, (k, v)) in self.fields.clone().enumerate() {
+            out.push_str(if i == 0 { "[" } else { ",[" });
+            push_json_str(out, k, true);
+            out.push(',');
+            push_json_str(out, v, true);
+            out.push(']');
+        }
+        out.push_str("],\"depth\":");
+        push_u64(out, u64::from(self.depth));
+        out.push_str(",\"event\":");
+        match self.event {
+            None => out.push_str("null"),
+            Some(e) => push_u64(out, e.0),
+        }
+        out.push('}');
+    }
+
+    /// Render as a single line: `time topic [stakeholder] message {k=v ...}`.
+    pub fn to_line(&self) -> String {
+        let edge = match self.kind {
+            SpanKind::Event => "·",
+            SpanKind::Enter => ">",
+            SpanKind::Exit => "<",
+        };
+        let mut out = format!(
+            "{:>10} {}{edge} {}",
+            format!("{}us", self.time.as_micros()),
+            "  ".repeat(self.depth as usize),
+            self.topic
+        );
+        if let Some(s) = self.stakeholder {
+            let _ = write!(out, " [{s}]");
+        }
+        if !self.message.is_empty() {
+            let _ = write!(out, " {}", self.message);
+        }
+        let mut fields = self.fields.clone();
+        if let Some((k, v)) = fields.next() {
+            let _ = write!(out, " {{{k}={v}");
+            for (k, v) in fields {
+                let _ = write!(out, " {k}={v}");
+            }
+            out.push('}');
+        }
+        if let Some(e) = self.event {
+            let _ = write!(out, " @{e}");
+        }
+        out
     }
 }
 
 impl TraceEntry {
-    /// This entry's digested parts, borrowed.
-    pub(crate) fn parts(&self) -> EntryParts<'_, String, String> {
+    /// This entry, borrowed.
+    pub fn parts(&self) -> EntryParts<'_, impl Fields<'_>> {
         EntryParts {
             kind: self.kind,
             time: self.time,
             topic: &self.topic,
             message: &self.message,
             stakeholder: self.stakeholder.as_deref(),
-            fields: &self.fields,
+            fields: self.fields.iter().map(|(k, v)| (k.as_str(), v.as_str())),
             depth: self.depth,
+            event: self.event,
         }
     }
 
@@ -133,70 +220,6 @@ impl TraceEntry {
     /// Note `event` is excluded by design — see its field doc.
     pub fn absorb_into(&self, h: &mut Fnv1a) {
         self.parts().absorb_into(h);
-    }
-
-    /// Append this entry as one JSON object: exactly the bytes
-    /// `serde_json::to_string(self)` renders (fields in declaration order,
-    /// serde's string escaping), without lowering through a `Value` tree.
-    pub fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{{\"time\":{},\"topic\":", self.time.as_micros());
-        push_json_str(out, &self.topic, true);
-        out.push_str(",\"message\":");
-        push_json_str(out, &self.message, true);
-        out.push_str(match self.kind {
-            SpanKind::Event => ",\"kind\":\"Event\",\"stakeholder\":",
-            SpanKind::Enter => ",\"kind\":\"Enter\",\"stakeholder\":",
-            SpanKind::Exit => ",\"kind\":\"Exit\",\"stakeholder\":",
-        });
-        match &self.stakeholder {
-            None => out.push_str("null"),
-            Some(s) => push_json_str(out, s, true),
-        }
-        out.push_str(",\"fields\":[");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            out.push_str(if i == 0 { "[" } else { ",[" });
-            push_json_str(out, k, true);
-            out.push(',');
-            push_json_str(out, v, true);
-            out.push(']');
-        }
-        let _ = write!(out, "],\"depth\":{},\"event\":", self.depth);
-        match self.event {
-            None => out.push_str("null}"),
-            Some(e) => {
-                let _ = write!(out, "{}}}", e.0);
-            }
-        }
-    }
-
-    /// Render as a single line: `time topic [stakeholder] message {k=v ...}`.
-    pub fn to_line(&self) -> String {
-        let mut out = String::new();
-        let indent = "  ".repeat(self.depth as usize);
-        let edge = match self.kind {
-            SpanKind::Event => "·",
-            SpanKind::Enter => ">",
-            SpanKind::Exit => "<",
-        };
-        out.push_str(&format!(
-            "{:>10} {indent}{edge} {}",
-            format!("{}us", self.time.as_micros()),
-            self.topic
-        ));
-        if let Some(s) = &self.stakeholder {
-            out.push_str(&format!(" [{s}]"));
-        }
-        if !self.message.is_empty() {
-            out.push_str(&format!(" {}", self.message));
-        }
-        if !self.fields.is_empty() {
-            let kv: Vec<String> = self.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            out.push_str(&format!(" {{{}}}", kv.join(" ")));
-        }
-        if let Some(e) = self.event {
-            out.push_str(&format!(" @{e}"));
-        }
-        out
     }
 }
 
@@ -552,7 +575,7 @@ mod tests {
         stamped.set_current_event(Some(EventId(9)));
         stamped.record(SimTime::from_micros(1), "t", "m");
         assert_eq!(stamped.entries().next().unwrap().event, Some(EventId(9)));
-        assert!(stamped.entries().next().unwrap().to_line().ends_with("@e9"));
+        assert!(stamped.entries().next().unwrap().parts().to_line().ends_with("@e9"));
         assert_eq!(plain.digest(), stamped.digest(), "ids are positional, not semantic");
         stamped.set_current_event(None);
         stamped.record(SimTime::from_micros(2), "t", "m2");
@@ -575,7 +598,7 @@ mod tests {
         let mut t = Trace::default();
         t.span_enter(SimTime::from_micros(3), "net.forward", Some("isp"), &[("dst", "h3")]);
         t.record(SimTime::from_micros(4), "net.hop", "r1 -> r2");
-        let lines: Vec<String> = t.entries().map(TraceEntry::to_line).collect();
+        let lines: Vec<String> = t.entries().map(|e| e.parts().to_line()).collect();
         assert!(lines[0].contains("> net.forward"), "{}", lines[0]);
         assert!(lines[0].contains("[isp]"));
         assert!(lines[0].contains("{dst=h3}"));

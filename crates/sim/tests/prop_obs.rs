@@ -1,13 +1,15 @@
 //! Property tests for the observability layer: span nesting, digest
 //! capacity-invariance, quantile monotonicity, and capture equivalence —
-//! Cost mode hashes borrowed entry parts while Profile mode builds owned
-//! entries, and both must observe the same stream.
+//! Cost mode hashes borrowed entry parts while Profile mode also copies
+//! them into its `TraceLog`; both must observe the same stream, and the log
+//! must hold what the owned-entry capture it replaced held.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use tussle_sim::obs::{self, ObsMode, RunRecord};
 use tussle_sim::{
-    Fnv1a, Histogram, SimTime, SpanKind, StakeholderCost, Trace, TraceEntry, UNATTRIBUTED,
+    EventId, Fnv1a, Histogram, ProvenanceNode, SimTime, SpanKind, StakeholderCost, Trace,
+    TraceEntry, TraceLog, UNATTRIBUTED,
 };
 
 /// One random action against a trace: a plain event, a span enter, or a
@@ -49,8 +51,10 @@ fn apply(trace: &mut Trace, actions: &[Action]) -> (u64, u64) {
     (enters, exits)
 }
 
-/// One step of a capture sequence: an ambient hook, or a record on an
-/// engine-style [`Trace`] (the owned-entry path into the scope).
+/// One step of a capture sequence: an ambient hook, a record on an
+/// engine-style [`Trace`] (the owned-entry path into the scope), or an
+/// engine event starting (`Some`) or ending (`None`) its dispatch, which
+/// stamps the entries recorded meanwhile.
 #[derive(Debug, Clone)]
 enum Step {
     AmbientEnter(u64, String, Option<String>, Vec<(String, String)>),
@@ -59,6 +63,7 @@ enum Step {
     TraceRecord(u64, String, Option<String>, Vec<(String, String)>),
     TraceEnter(u64, String, Option<String>),
     TraceExit(u64),
+    Dispatch(Option<u64>),
 }
 
 fn arb_lane() -> impl Strategy<Value = Option<String>> {
@@ -82,6 +87,7 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
         (0u64..1_000, topic, arb_lane())
             .prop_map(|(t, topic, lane)| Step::TraceEnter(t, topic, lane)),
         (0u64..1_000).prop_map(Step::TraceExit),
+        (0u8..3, 0u64..50).prop_map(|(open, id)| Step::Dispatch((open > 0).then_some(id))),
     ];
     proptest::collection::vec(step, 0..80)
 }
@@ -113,9 +119,122 @@ fn capture(mode: ObsMode, steps: &[Step]) -> RunRecord {
             Step::TraceExit(t) => {
                 trace.span_exit(SimTime::from_micros(*t), &[]);
             }
+            Step::Dispatch(Some(id)) => {
+                let node = ProvenanceNode {
+                    id: EventId(*id),
+                    parent: None,
+                    time: SimTime::ZERO,
+                    span: None,
+                };
+                obs::on_dispatch(&node);
+                trace.set_current_event(Some(EventId(*id)));
+            }
+            Step::Dispatch(None) => {
+                obs::on_dispatch_end();
+                trace.set_current_event(None);
+            }
         }
     }
     guard.finish()
+}
+
+/// The Profile capture the log replaced, kept as its reference: one owned
+/// `TraceEntry` per absorbed entry in a bounded `VecDeque`. Ambient entries
+/// are built from their parts and stamped with the dispatching event;
+/// entries recorded on a [`Trace`] are cloned with their own stamp.
+#[derive(Debug, Default)]
+struct OwnedRing {
+    entries: VecDeque<TraceEntry>,
+    dropped: u64,
+}
+
+impl OwnedRing {
+    fn capture(&mut self, entry: TraceEntry) {
+        if self.entries.len() == TraceLog::CAPACITY {
+            self.entries.pop_front();
+            self.dropped += 1;
+        }
+        self.entries.push_back(entry);
+    }
+
+    /// Replay `steps` as the owned-entry capture saw them, with no scope
+    /// open: the ambient span stack and the dispatch stamp are kept here.
+    fn replay(steps: &[Step]) -> OwnedRing {
+        let mut ring = OwnedRing::default();
+        let mut trace = Trace::with_capacity(4096);
+        let mut open: Vec<String> = Vec::new();
+        let mut current: Option<EventId> = None;
+        let owned = |fields: &[(String, String)]| fields.to_vec();
+        for step in steps {
+            let entry =
+                |kind, t: u64, topic: &str, message: &str, lane: Option<&String>, fields, depth| {
+                    TraceEntry {
+                        time: SimTime::from_micros(t),
+                        topic: topic.to_owned(),
+                        message: message.to_owned(),
+                        kind,
+                        stakeholder: lane.cloned(),
+                        fields,
+                        depth,
+                        event: current,
+                    }
+                };
+            let recorded = trace.len();
+            match step {
+                Step::AmbientEnter(t, topic, lane, f) => {
+                    let depth = open.len() as u32;
+                    ring.capture(entry(
+                        SpanKind::Enter,
+                        *t,
+                        topic,
+                        "",
+                        lane.as_ref(),
+                        owned(f),
+                        depth,
+                    ));
+                    open.push(topic.clone());
+                }
+                Step::AmbientExit(t, f) => {
+                    if let Some(topic) = open.pop() {
+                        let depth = open.len() as u32;
+                        ring.capture(entry(SpanKind::Exit, *t, &topic, "", None, owned(f), depth));
+                    }
+                }
+                Step::AmbientEvent(t, topic, lane, m) => {
+                    let depth = open.len() as u32;
+                    ring.capture(entry(
+                        SpanKind::Event,
+                        *t,
+                        topic,
+                        m,
+                        lane.as_ref(),
+                        Vec::new(),
+                        depth,
+                    ));
+                }
+                Step::TraceRecord(t, topic, lane, f) => {
+                    let at = SimTime::from_micros(*t);
+                    trace.record_fields(at, topic, lane.as_deref(), &borrowed(f), "rec");
+                }
+                Step::TraceEnter(t, topic, lane) => {
+                    trace.span_enter(SimTime::from_micros(*t), topic, lane.as_deref(), &[]);
+                }
+                Step::TraceExit(t) => {
+                    trace.span_exit(SimTime::from_micros(*t), &[]);
+                }
+                Step::Dispatch(id) => {
+                    current = id.map(EventId);
+                    trace.set_current_event(current);
+                }
+            }
+            // The Trace holds every entry it recorded (no step sequence
+            // fills it), so a recorded step's entry is its newest.
+            if trace.len() > recorded {
+                ring.capture(trace.entries().last().expect("just recorded").clone());
+            }
+        }
+        ring
+    }
 }
 
 /// The stakeholder fold as `obs` computed it with one owned `String` per
@@ -185,7 +304,19 @@ proptest! {
             entry.absorb_into(&mut h);
             prop_assert_eq!(h.finish(), profile.prefix_digests[i], "prefix {}", i);
         }
-        prop_assert_eq!(&profile.stakeholders, &string_lane_fold(&profile.ring));
+        let entries: Vec<TraceEntry> = profile.ring.iter().map(|e| e.to_entry()).collect();
+        prop_assert_eq!(&profile.stakeholders, &string_lane_fold(&entries));
+    }
+
+    /// The log holds exactly what the owned-entry capture held: the same
+    /// entries, event stamps included, in the same order.
+    #[test]
+    fn log_matches_the_owned_entry_capture(steps in arb_steps()) {
+        let profile = capture(ObsMode::Profile, &steps);
+        let owned = OwnedRing::replay(&steps);
+        let logged: Vec<TraceEntry> = profile.ring.iter().map(|e| e.to_entry()).collect();
+        prop_assert_eq!(logged, Vec::from(owned.entries));
+        prop_assert_eq!(profile.ring.dropped(), owned.dropped);
     }
 
     /// Span nesting is balanced under any action sequence: exits never

@@ -1,13 +1,16 @@
 //! Equivalence oracle for the streaming exporters (DESIGN.md §10).
 //!
 //! `to_chrome` and `to_jsonl` stream every event into one pre-sized
-//! buffer, and `TraceEntry::write_json` renders an entry by hand instead of
-//! through `serde_json`. The `reference` module keeps the exporters they
-//! replaced, verbatim: `to_chrome` built one `String` per event and joined
-//! them, and `to_jsonl` rendered each entry with `serde_json::to_string`.
-//! Hand-built records (escapes, duplicate field keys, stray exits, spans
-//! left open, evicted provenance parents) and every registry experiment's
-//! profiled record must render byte-identically through both.
+//! buffer, read each entry in place from the record's `TraceLog`, and
+//! `EntryParts::write_json` renders an entry by hand instead of through
+//! `serde_json`. The `reference` module keeps the exporters they replaced,
+//! verbatim but for one line each: they read owned `TraceEntry` values
+//! materialized from the log. `to_chrome` built one `String` per event and
+//! joined them, and `to_jsonl` rendered each entry with
+//! `serde_json::to_string`. Hand-built records (escapes, duplicate field
+//! keys, stray exits, spans left open, evicted provenance parents) and
+//! every registry experiment's profiled record must render
+//! byte-identically through both.
 //!
 //! ```sh
 //! cargo test --test export_oracle
@@ -26,6 +29,11 @@ mod reference {
     use std::fmt::Write as _;
     use tussle::sim::obs::{RunRecord, UNATTRIBUTED};
     use tussle::sim::trace::{SpanKind, TraceEntry};
+
+    /// The record's captured entries as owned values, oldest first.
+    fn materialize(record: &RunRecord) -> Vec<TraceEntry> {
+        record.ring.iter().map(|e| e.to_entry()).collect()
+    }
 
     /// Escape a string for embedding in a JSON string literal.
     fn esc(s: &str) -> String {
@@ -70,7 +78,7 @@ mod reference {
         // A ring replay can only surface lanes the scoreboard fold already saw,
         // but hand-built records may carry a ring without a fold — cover both.
         let mut stack: Vec<(String, u64)> = Vec::new();
-        for entry in &record.ring {
+        for entry in &materialize(record) {
             let lane = resolve_lane(entry, &stack).to_owned();
             lanes.entry(lane.clone()).or_insert(0);
             match entry.kind {
@@ -139,7 +147,7 @@ mod reference {
         let mut stack: Vec<(String, u64)> = Vec::new();
         let mut open: Vec<(String, u64)> = Vec::new();
         let mut last_ts = 0u64;
-        for entry in &record.ring {
+        for entry in &materialize(record) {
             let ts = entry.time.as_micros();
             last_ts = last_ts.max(ts);
             match entry.kind {
@@ -220,7 +228,7 @@ mod reference {
     /// [`TraceEntry`] per line, oldest first.
     pub fn to_jsonl(record: &RunRecord) -> String {
         let mut out = String::new();
-        for entry in &record.ring {
+        for entry in &materialize(record) {
             out.push_str(&serde_json::to_string(entry).expect("trace entries serialize"));
             out.push('\n');
         }
@@ -292,7 +300,7 @@ fn record() -> impl Strategy<Value = RunRecord> {
         prop::collection::vec((0u64..24, 0u64..30, 0u64..1_000_000), 0..16),
     )
         .prop_map(|(ring, fold, nodes)| RunRecord {
-            ring,
+            ring: ring.into_iter().collect(),
             stakeholders: fold
                 .into_iter()
                 .map(|i| (LANES[i].to_owned(), StakeholderCost::default()))
@@ -327,10 +335,11 @@ fn assert_same(what: &str, streamed: &str, reference: &str) {
 fn check(what: &str, rec: &RunRecord) {
     assert_same(&format!("{what} chrome"), &to_chrome(rec), &reference::to_chrome(rec));
     assert_same(&format!("{what} jsonl"), &to_jsonl(rec), &reference::to_jsonl(rec));
-    for entry in &rec.ring {
+    for entry in rec.ring.iter() {
         let mut line = String::new();
         entry.write_json(&mut line);
-        assert_eq!(line, serde_json::to_string(entry).unwrap(), "{what}: write_json vs serde");
+        let serde = serde_json::to_string(&entry.to_entry()).unwrap();
+        assert_eq!(line, serde, "{what}: write_json vs serde");
     }
 }
 
@@ -366,7 +375,9 @@ fn edge_cases_match_the_references() {
             e(SpanKind::Event, 3, "inherits", None, &[]),
             e(SpanKind::Enter, 4, "left open", Some("gov\"t"), &[("\u{8}", "\u{1f}")]),
             e(SpanKind::Event, 5, "own lane", Some("user"), &[]),
-        ],
+        ]
+        .into_iter()
+        .collect(),
         provenance: vec![
             ProvenanceNode {
                 id: EventId(3),
