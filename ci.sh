@@ -64,8 +64,10 @@ timed_test "routing/prop_routing"          -p tussle-routing     --test prop_rou
 timed_test "core/prop_scoreboard"          -p tussle-core        --test prop_scoreboard
 timed_test "sim/prop_chaos"                -p tussle-sim         --test prop_chaos
 timed_test "sim/prop_checkpoint"           -p tussle-sim         --test prop_checkpoint
+timed_test "sim/dispatch_allocations"      -p tussle-sim         --test dispatch_allocations
 timed_test "sim/prop_engine"               -p tussle-sim         --test prop_engine
 timed_test "sim/log_eviction"              -p tussle-sim         --test log_eviction
+timed_test "sim/oracle_trace"              -p tussle-sim         --test oracle_trace
 timed_test "sim/prop_export"               -p tussle-sim         --test prop_export
 timed_test "sim/prop_obs"                  -p tussle-sim         --test prop_obs
 timed_test "sim/prop_provenance"           -p tussle-sim         --test prop_provenance
@@ -442,6 +444,7 @@ jq -e '
   and ([.[].bench] | any(startswith("checkpoint/")))
   and ([.[].bench] | any(startswith("fuzz/")))
   and ([.[].bench] | any(startswith("layer/")))
+  and ([.[].bench] | any(. == "layer/sim/engine_10k_traced"))
   and ([.[].bench] | any(startswith("chaos/")))
   and ([.[].bench] | any(startswith("ablation/")))
 ' BENCH_sim.json > /dev/null

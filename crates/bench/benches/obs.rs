@@ -42,16 +42,16 @@ fn run_chain(traced: bool) -> u64 {
     }
     let mut eng: Engine<u64> = Engine::new(1, 42);
     eng.trace_mut().disable();
-    // Dispatch cost only: drop the engine-side provenance ring in both
-    // arms so the ratio isolates the trace hooks under test.
-    eng.provenance_mut().disable();
     eng.schedule_at(SimTime::ZERO, tick(traced));
     eng.run(EVENTS);
     eng.world
 }
 
-/// Rounds of the disabled-tracing gate; each round times both arms.
-const GATE_ROUNDS: usize = 7;
+/// Rounds of the disabled-tracing gate; each round times both arms. An
+/// arm runs in about 20 ms on a 2-vCPU host, short enough that seven
+/// rounds left host noise of ±10 % in the ratio; fifteen reach each arm's
+/// floor.
+const GATE_ROUNDS: usize = 15;
 
 /// Wall-clock of one call, in nanoseconds.
 fn time_ns(run: impl FnOnce()) -> u128 {

@@ -36,6 +36,23 @@ fn bench_engine(c: &mut Criterion) {
             black_box(eng.world)
         })
     });
+    // The same chain with one rendered trace entry per event: the cost of
+    // the engine trace path, message rendering and log included.
+    c.bench_function("layer/sim/engine_10k_traced", |b| {
+        b.iter(|| {
+            let mut eng: Engine<u64> = Engine::new(0, 1);
+            fn tick(w: &mut u64, ctx: &mut tussle_sim::Ctx<u64>) {
+                *w += 1;
+                ctx.trace("bench.tick", format_args!("tick {w}"));
+                if *w < 10_000 {
+                    ctx.schedule_in(SimTime::from_micros(10), tick);
+                }
+            }
+            eng.schedule_at(SimTime::ZERO, tick);
+            eng.run_to_completion();
+            black_box(eng.world)
+        })
+    });
 }
 
 fn bench_fib(c: &mut Criterion) {

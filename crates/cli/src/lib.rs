@@ -52,7 +52,8 @@
 //!   bytes are identical across runs and worker counts;
 //! * `health [--bench BENCH_sim.json] [--baseline FILE] [--json]` — the
 //!   cross-campaign health gate: holds the bench sidecar to per-entry
-//!   regression thresholds against a baseline sidecar, re-derives a
+//!   regression thresholds against a baseline sidecar (refusing readings
+//!   whose recorded hosts differ), re-derives a
 //!   cross-section of campaign digests at two worker counts, and checks
 //!   scoreboard conservation; any regression exits nonzero;
 //! * `list` — list experiment ids, sections and one-line claims;
@@ -147,6 +148,10 @@ pub struct HealthReport {
     /// Benches present in the baseline but missing from the current
     /// sidecar (each counts as a regression — deletion hides trends).
     pub missing: Vec<String>,
+    /// Benches whose two readings carry unlike host records (each counts
+    /// as a regression, its line naming both hosts — a ratio across hosts
+    /// measures the hosts, not the code).
+    pub incomparable: Vec<String>,
     /// Did the campaign digests agree across worker counts?
     pub determinism_ok: bool,
     /// The probe's per-experiment digests (at one worker).
@@ -187,10 +192,35 @@ fn bench_threshold(bench: &str) -> f64 {
     }
 }
 
+/// The host a bench reading was taken on, as the bench harness records it
+/// beside each median: the cores the bench process could use and the build
+/// profile.
+#[derive(Debug, Clone, PartialEq)]
+struct BenchHost {
+    nproc: u64,
+    profile: String,
+}
+
+impl std::fmt::Display for BenchHost {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} build on {} cores", self.profile, self.nproc)
+    }
+}
+
+/// One sidecar line: a bench's median and, when recorded, its host.
+#[derive(Debug, Clone, PartialEq)]
+struct BenchReading {
+    bench: String,
+    median_ns: f64,
+    host: Option<BenchHost>,
+}
+
 /// Load a bench sidecar: a JSON array of `{"bench": .., "median_ns": ..}`
-/// objects as written by the bench harness. Empty or malformed sidecars
-/// are errors — a gate that silently checks nothing is worse than none.
-fn load_bench_sidecar(path: &str) -> Result<Vec<(String, f64)>, UsageError> {
+/// objects as written by the bench harness, each with a host record
+/// (`nproc` and `profile`) unless it predates them. Empty or malformed
+/// sidecars are errors — a gate that silently checks nothing is worse than
+/// none.
+fn load_bench_sidecar(path: &str) -> Result<Vec<BenchReading>, UsageError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| UsageError(format!("could not read bench sidecar '{path}': {e}")))?;
     let parsed: serde::Value = serde_json::from_str(&text)
@@ -224,7 +254,13 @@ fn load_bench_sidecar(path: &str) -> Result<Vec<(String, f64)>, UsageError> {
                 "bench sidecar '{path}': entry '{bench}' has non-positive median {median_ns}"
             )));
         }
-        out.push((bench, median_ns));
+        let host = match (entry.field("nproc"), entry.field("profile")) {
+            (Ok(serde::Value::U64(nproc)), Ok(serde::Value::Str(profile))) => {
+                Some(BenchHost { nproc: *nproc, profile: profile.clone() })
+            }
+            _ => None,
+        };
+        out.push(BenchReading { bench, median_ns, host });
     }
     if out.is_empty() {
         return Err(UsageError(format!("bench sidecar '{path}' holds no bench entries")));
@@ -232,42 +268,67 @@ fn load_bench_sidecar(path: &str) -> Result<Vec<(String, f64)>, UsageError> {
     Ok(out)
 }
 
+/// Hold each baseline reading against the current one: its trend, or the
+/// reason it has none (missing from `current`, or read on an unlike host).
+/// Every missing, unlike-host and over-threshold bench adds one line to
+/// `regressions`.
+fn compare_sidecars(
+    current: &[BenchReading],
+    baseline: &[BenchReading],
+    bench_file: &str,
+    regressions: &mut Vec<String>,
+) -> (Vec<BenchTrend>, Vec<String>, Vec<String>) {
+    let mut trends = Vec::new();
+    let mut missing = Vec::new();
+    let mut incomparable = Vec::new();
+    for base in baseline {
+        let bench = &base.bench;
+        let Some(cur) = current.iter().find(|cur| cur.bench == *bench) else {
+            missing.push(bench.clone());
+            regressions.push(format!(
+                "bench '{bench}' is in the baseline but missing from '{bench_file}'"
+            ));
+            continue;
+        };
+        if let (Some(current), Some(baseline)) = (&cur.host, &base.host) {
+            if current != baseline {
+                regressions.push(format!(
+                    "bench '{bench}' is not comparable: current reading from a {current}, \
+                     baseline from a {baseline}"
+                ));
+                incomparable.push(bench.clone());
+                continue;
+            }
+        }
+        let (current_ns, baseline_ns) = (cur.median_ns, base.median_ns);
+        let ratio = current_ns / baseline_ns;
+        let threshold = bench_threshold(bench);
+        let regressed = ratio > threshold;
+        if regressed {
+            regressions.push(format!(
+                "bench '{bench}' regressed: {current_ns:.0}ns vs baseline \
+                 {baseline_ns:.0}ns ({ratio:.2}x > {threshold:.2}x)"
+            ));
+        }
+        trends.push(BenchTrend {
+            bench: bench.clone(),
+            baseline_ns,
+            current_ns,
+            ratio,
+            threshold,
+            regressed,
+        });
+    }
+    (trends, missing, incomparable)
+}
+
 /// Run the health gate's three checks and fold them into a report.
 fn run_health(bench_file: &str, baseline_file: &str) -> Result<HealthReport, UsageError> {
     let current = load_bench_sidecar(bench_file)?;
     let baseline = load_bench_sidecar(baseline_file)?;
-    let mut trends = Vec::new();
-    let mut missing = Vec::new();
     let mut regressions = Vec::new();
-    for (bench, baseline_ns) in &baseline {
-        match current.iter().find(|(name, _)| name == bench) {
-            None => {
-                missing.push(bench.clone());
-                regressions.push(format!(
-                    "bench '{bench}' is in the baseline but missing from '{bench_file}'"
-                ));
-            }
-            Some((_, current_ns)) => {
-                let ratio = current_ns / baseline_ns;
-                let threshold = bench_threshold(bench);
-                let regressed = ratio > threshold;
-                if regressed {
-                    regressions.push(format!(
-                        "bench '{bench}' regressed: {current_ns:.0}ns vs baseline \
-                         {baseline_ns:.0}ns ({ratio:.2}x > {threshold:.2}x)"
-                    ));
-                }
-                trends.push(BenchTrend {
-                    bench: bench.clone(),
-                    baseline_ns: *baseline_ns,
-                    current_ns: *current_ns,
-                    ratio,
-                    threshold,
-                    regressed,
-                });
-            }
-        }
-    }
+    let (trends, missing, incomparable) =
+        compare_sidecars(&current, &baseline, bench_file, &mut regressions);
 
     // Determinism probe: sweep a registry cross-section at two worker
     // counts; the folded campaign digests must agree bit-for-bit.
@@ -320,6 +381,7 @@ fn run_health(bench_file: &str, baseline_file: &str) -> Result<HealthReport, Usa
         baseline_file: baseline_file.to_owned(),
         trends,
         missing,
+        incomparable,
         determinism_ok,
         campaign_digests,
         scoreboard_entries,
@@ -349,6 +411,9 @@ fn render_health(r: &HealthReport) -> String {
     }
     for m in &r.missing {
         out.push_str(&format!("| {m} | — | missing | — | — | REGRESSED |\n"));
+    }
+    for m in &r.incomparable {
+        out.push_str(&format!("| {m} | — | — | — | — | NOT COMPARABLE |\n"));
     }
     out.push('\n');
     out.push_str(&format!(
@@ -2555,13 +2620,14 @@ mod tests {
         .unwrap();
         let loaded = load_bench_sidecar(&path.display().to_string());
         let _ = std::fs::remove_file(&path);
-        assert_eq!(loaded.unwrap(), vec![("econ/settle".to_owned(), 1000.0)]);
+        assert_eq!(loaded.unwrap(), vec![reading("econ/settle", 1000.0, None)]);
     }
 
     #[test]
     fn health_reads_a_sidecar_carrying_its_host_record() {
         // Each line also records the host's core count and the build
-        // profile, a number and a string the loader steps over.
+        // profile, a number and a string the loader reads beside the
+        // median.
         let path = std::env::temp_dir()
             .join(format!("tussle-cli-health-{}-host.json", std::process::id()));
         std::fs::write(
@@ -2573,7 +2639,112 @@ mod tests {
         .unwrap();
         let loaded = load_bench_sidecar(&path.display().to_string());
         let _ = std::fs::remove_file(&path);
-        assert_eq!(loaded.unwrap(), vec![("obs/experiments_profile_scope".to_owned(), 2000.0)]);
+        assert_eq!(
+            loaded.unwrap(),
+            vec![reading("obs/experiments_profile_scope", 2000.0, Some((2, "release")))]
+        );
+    }
+
+    fn reading(bench: &str, ns: f64, host: Option<(u64, &str)>) -> BenchReading {
+        let host = host.map(|(nproc, profile)| BenchHost { nproc, profile: profile.to_owned() });
+        BenchReading { bench: bench.to_owned(), median_ns: ns, host }
+    }
+
+    /// Compare one bench read on the `current` host against `baseline`.
+    fn compare_hosts(
+        current: Option<(u64, &str)>,
+        baseline: Option<(u64, &str)>,
+    ) -> (Vec<BenchTrend>, Vec<String>, Vec<String>) {
+        let mut regressions = Vec::new();
+        let (trends, missing, incomparable) = compare_sidecars(
+            &[reading("econ/settle", 1100.0, current)],
+            &[reading("econ/settle", 1000.0, baseline)],
+            "cur.json",
+            &mut regressions,
+        );
+        assert!(missing.is_empty());
+        (trends, incomparable, regressions)
+    }
+
+    #[test]
+    fn health_compares_readings_from_the_same_host() {
+        let (trends, incomparable, regressions) =
+            compare_hosts(Some((2, "release")), Some((2, "release")));
+        assert_eq!(trends.len(), 1);
+        assert!((trends[0].ratio - 1.1).abs() < 1e-12);
+        assert!(incomparable.is_empty());
+        assert!(regressions.is_empty(), "{regressions:?}");
+    }
+
+    #[test]
+    fn health_refuses_readings_from_unlike_core_counts() {
+        let (trends, incomparable, regressions) =
+            compare_hosts(Some((8, "release")), Some((2, "release")));
+        assert!(trends.is_empty(), "no ratio across hosts");
+        assert_eq!(incomparable, ["econ/settle"]);
+        assert_eq!(
+            regressions,
+            ["bench 'econ/settle' is not comparable: current reading from a release build on 8 \
+              cores, baseline from a release build on 2 cores"]
+        );
+
+        // The gate fails, and both outputs name the bench and both hosts.
+        let write = |tag: &str, nproc: u64| {
+            let path = std::env::temp_dir()
+                .join(format!("tussle-cli-health-{}-{tag}.json", std::process::id()));
+            std::fs::write(
+                &path,
+                format!(
+                    "[{{\"bench\": \"econ/settle\", \"median_ns\": 1000, \"nproc\": {nproc}, \
+                     \"profile\": \"release\"}}]"
+                ),
+            )
+            .unwrap();
+            path.display().to_string()
+        };
+        let (bench, baseline) = (write("host8", 8), write("host2", 2));
+        let health =
+            |json| Command::Health { bench: bench.clone(), baseline: Some(baseline.clone()), json };
+        let err = execute(health(false)).unwrap_err();
+        assert!(err.0.contains("health gate failed"), "{err}");
+        assert!(err.0.contains("| econ/settle | — | — | — | — | NOT COMPARABLE |"), "{err}");
+        assert!(err.0.contains("release build on 8 cores, baseline from a release build on 2"));
+        let err = execute(health(true)).unwrap_err();
+        let json = err.0.strip_prefix("health gate failed\n").expect("the report follows");
+        let parsed: serde::Value = serde_json::from_str(json).unwrap();
+        assert_eq!(parsed.field("healthy").unwrap(), &serde::Value::Bool(false));
+        let ids = serde::Value::Seq(vec![serde::Value::Str("econ/settle".into())]);
+        assert_eq!(parsed.field("incomparable").unwrap(), &ids);
+        assert!(json.contains("release build on 8 cores, baseline from a release build on 2"));
+        let _ = std::fs::remove_file(&bench);
+        let _ = std::fs::remove_file(&baseline);
+    }
+
+    #[test]
+    fn health_refuses_readings_from_unlike_build_profiles() {
+        let (trends, incomparable, regressions) =
+            compare_hosts(Some((2, "debug")), Some((2, "release")));
+        assert!(trends.is_empty());
+        assert_eq!(incomparable, ["econ/settle"]);
+        assert_eq!(
+            regressions,
+            ["bench 'econ/settle' is not comparable: current reading from a debug build on 2 \
+              cores, baseline from a release build on 2 cores"]
+        );
+    }
+
+    #[test]
+    fn health_compares_readings_without_a_host_record_as_before() {
+        // A sidecar from before the host record against a current one, in
+        // both directions, and two without: all compared on the median.
+        for (current, baseline) in
+            [(None, Some((2, "release"))), (Some((8, "debug")), None), (None, None)]
+        {
+            let (trends, incomparable, regressions) = compare_hosts(current, baseline);
+            assert_eq!(trends.len(), 1);
+            assert!(incomparable.is_empty());
+            assert!(regressions.is_empty(), "{regressions:?}");
+        }
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub struct Explanation {
     /// The chain, root first, ending at `target`.
     pub hops: Vec<AncestryHop>,
     /// Whether the chain reaches an actual root (`parent: None`). `false`
-    /// means an ancestor was evicted from the bounded provenance ring.
+    /// means an ancestor was evicted from the bounded provenance capture.
     pub complete: bool,
     /// Total events the run dispatched.
     pub events: u64,
@@ -472,6 +472,8 @@ pub fn diff(config: &DiffConfig) -> Result<DiffReport, CausalityError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tussle_sim::SimTime;
 
     #[test]
     fn event_ids_parse_in_both_spellings() {
@@ -499,6 +501,64 @@ mod tests {
         b.push(42);
         assert_eq!(first_divergence(&a, &b).0, None, "shared prefix agrees");
         assert_eq!(first_divergence(&[], &[]), (None, 0));
+    }
+
+    proptest! {
+        /// Ancestry walks terminate. On a forest numbered as the engine
+        /// numbers it (a parent precedes its child) whose oldest `evicted`
+        /// nodes fell out of the bounded capture, every retained node's
+        /// chain is its parent walk, root first, ids strictly increasing,
+        /// and complete exactly when it reaches a root. On a corrupted
+        /// capture whose parents point anywhere, cycles included, the walk
+        /// still stops within one hop per node.
+        #[test]
+        fn ancestry_terminates_at_a_root(
+            parents in proptest::collection::vec((any::<bool>(), any::<u64>()), 1..64),
+            evicted in 0usize..16,
+            corrupt in any::<bool>(),
+        ) {
+            let n = parents.len();
+            let nodes: Vec<ProvenanceNode> = parents
+                .iter()
+                .enumerate()
+                .map(|(i, &(scheduled, pick))| ProvenanceNode {
+                    id: EventId(i as u64),
+                    parent: match (scheduled, corrupt) {
+                        (true, true) => Some(EventId(pick % n as u64)),
+                        (true, false) if i > 0 => Some(EventId(pick % i as u64)),
+                        _ => None,
+                    },
+                    time: SimTime::from_micros(i as u64),
+                    span: None,
+                })
+                .collect();
+            let first_kept = evicted.min(n - 1);
+            let kept = &nodes[first_kept..];
+            let index: NodeIndex<'_> = kept.iter().map(|node| (node.id.0, node)).collect();
+            for node in kept {
+                let (hops, complete) =
+                    ancestry_of(&index, &BTreeMap::new(), node.id).expect("a retained node");
+                prop_assert!(!hops.is_empty() && hops.len() <= kept.len() + 1);
+                prop_assert_eq!(hops.last().map(|h| h.event), Some(node.id), "ends at the query");
+                prop_assert_eq!(complete, hops[0].parent.is_none(), "complete iff at a root");
+                for pair in hops.windows(2) {
+                    prop_assert_eq!(pair[1].parent, Some(pair[0].event), "linked by parent");
+                }
+                if corrupt {
+                    continue;
+                }
+                let mut walk = vec![node.id.0];
+                let mut cursor = node;
+                while let Some(parent) = cursor.parent.filter(|p| p.0 as usize >= first_kept) {
+                    walk.push(parent.0);
+                    cursor = &nodes[parent.0 as usize];
+                }
+                walk.reverse();
+                prop_assert_eq!(hops.iter().map(|h| h.event.0).collect::<Vec<_>>(), walk);
+                prop_assert!(hops.len() <= kept.len());
+            }
+            prop_assert!(ancestry_of(&index, &BTreeMap::new(), EventId(n as u64)).is_none());
+        }
     }
 
     #[test]

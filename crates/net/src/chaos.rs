@@ -35,7 +35,7 @@ pub fn schedule_plan(engine: &mut Engine<TrafficWorld>, plan: &FaultPlan) {
     for ev in plan.events() {
         let action = ev.action.clone();
         engine.schedule_at(ev.at, move |w: &mut TrafficWorld, ctx| {
-            ctx.trace("chaos", format!("{action:?}"));
+            ctx.trace("chaos", format_args!("{action:?}"));
             apply_action(&mut w.network, &action);
         });
     }

@@ -216,7 +216,7 @@ fn attempt_send(w: &mut TrafficWorld, ctx: &mut Ctx<TrafficWorld>, flow: &Flow, 
     if attempt >= policy.max_retries {
         ctx.metrics.incr(&format!("flow.{label}.abandoned"));
         ctx.metrics.incr(&format!("flow.{label}.abandoned.{r:?}"));
-        ctx.trace("flow.retry", format!("{label}: abandoned after {} attempts", attempt + 1));
+        ctx.trace("flow.retry", format_args!("{label}: abandoned after {} attempts", attempt + 1));
         return;
     }
     ctx.metrics.incr(&format!("flow.{label}.retried"));

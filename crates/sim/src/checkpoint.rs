@@ -27,7 +27,7 @@
 //! atomic write — cheap enough to take every thousand events.
 //!
 //! What is deliberately **excluded** from snapshots: wall-clock time (never
-//! deterministic), the [`obs`](crate::obs) capture rings and provenance ring
+//! deterministic), the [`obs`](crate::obs) capture log and provenance capture
 //! (diagnostic views *of* the run, not state *in* it — they regrow on
 //! replay), and derived caches like the route memo (rebuilt and explicitly
 //! invalidated at the restore boundary). See DESIGN.md §8.

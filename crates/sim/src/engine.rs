@@ -13,11 +13,12 @@ use crate::digest::{Fnv1a, RunDigest};
 use crate::event::{EventFn, EventId, Scheduled};
 use crate::metrics::Metrics;
 use crate::obs;
-use crate::provenance::{Provenance, ProvenanceNode};
+use crate::provenance::ProvenanceNode;
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use crate::trace::Trace;
 use std::collections::BinaryHeap;
+use std::fmt::Display;
 use std::time::Instant;
 
 /// Context handed to every event handler.
@@ -27,15 +28,16 @@ pub struct Ctx<'a, W> {
     pub rng: &'a mut SimRng,
     /// Metric sink for the run.
     pub metrics: &'a mut Metrics,
-    /// Trace ring for the run.
+    /// Trace log for the run.
     pub trace: &'a mut Trace,
-    /// Buffered child events: (time, handler, innermost open span at
-    /// schedule time). The span travels into the child's provenance node.
-    pending: Vec<(SimTime, EventFn<W>, Option<String>)>,
+    /// Buffered child events, in a buffer the engine lends each dispatch.
+    pending: Vec<Pending<W>>,
     stop: bool,
     /// First topic traced via the context during this handler — what the
-    /// profiler attributes the whole event to.
-    first_topic: Option<String>,
+    /// profiler attributes the whole event to. Valid once `topic_noted`;
+    /// a buffer the engine lends each dispatch.
+    first_topic: String,
+    topic_noted: bool,
     /// The id of the event this context is dispatching; children scheduled
     /// through the context record it as their provenance parent.
     event: EventId,
@@ -67,19 +69,22 @@ impl<'a, W> Ctx<'a, W> {
         self.pending.push((at, Box::new(f), span));
     }
 
-    /// Record a trace entry stamped with the current time.
-    pub fn trace(&mut self, topic: &str, message: impl Into<String>) {
+    /// Record a trace entry stamped with the current time. The message is
+    /// rendered in place, and only when the trace is enabled.
+    #[inline]
+    pub fn trace(&mut self, topic: &str, message: impl Display) {
         self.note_topic(topic);
         self.trace.record(self.now, topic, message);
     }
 
     /// Record a structured trace event with a stakeholder and fields.
+    #[inline]
     pub fn trace_fields(
         &mut self,
         topic: &str,
         stakeholder: Option<&str>,
         fields: &[(&str, &str)],
-        message: impl Into<String>,
+        message: impl Display,
     ) {
         self.note_topic(topic);
         self.trace.record_fields(self.now, topic, stakeholder, fields, message);
@@ -98,11 +103,14 @@ impl<'a, W> Ctx<'a, W> {
         self.trace.span_exit(self.now, fields)
     }
 
+    #[inline]
     fn note_topic(&mut self, topic: &str) {
-        // Only the profiler reads this attribution; skip the allocation
-        // entirely outside Profile mode so tracing stays free when off.
-        if self.first_topic.is_none() && obs::profiling() {
-            self.first_topic = Some(topic.to_owned());
+        // Only the profiler reads this attribution; skip the copy entirely
+        // outside Profile mode so tracing stays free when off.
+        if !self.topic_noted && obs::profiling() {
+            self.topic_noted = true;
+            self.first_topic.clear();
+            self.first_topic.push_str(topic);
         }
     }
 
@@ -179,6 +187,11 @@ pub struct RunReport {
     pub ended_at: SimTime,
 }
 
+/// A child event buffered during its parent's dispatch: (time, handler,
+/// innermost open span at schedule time). The span travels into the
+/// child's provenance node.
+type Pending<W> = (SimTime, EventFn<W>, Option<String>);
+
 /// A deterministic discrete-event simulation engine over a world `W`.
 pub struct Engine<W> {
     now: SimTime,
@@ -190,7 +203,11 @@ pub struct Engine<W> {
     rng: SimRng,
     metrics: Metrics,
     trace: Trace,
-    provenance: Provenance,
+    /// Lent to every dispatch's context and taken back, so each dispatch
+    /// reuses their capacity: the children a handler schedules and the
+    /// first topic it traces.
+    pending: Vec<Pending<W>>,
+    first_topic: String,
     stopped: bool,
     events_processed: u64,
     /// Captures substrate component digests for ambient checkpoints, when
@@ -218,7 +235,8 @@ impl<W> Engine<W> {
             rng: SimRng::seed_from_u64(seed),
             metrics: Metrics::new(),
             trace: Trace::default(),
-            provenance: Provenance::default(),
+            pending: Vec::new(),
+            first_topic: String::new(),
             stopped: false,
             events_processed: 0,
             world_probe: None,
@@ -251,24 +269,14 @@ impl<W> Engine<W> {
         &mut self.metrics
     }
 
-    /// Trace ring (read).
+    /// Trace log (read).
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Trace ring (write).
+    /// Trace log (write).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
-    }
-
-    /// Causal provenance of dispatched events (read).
-    pub fn provenance(&self) -> &Provenance {
-        &self.provenance
-    }
-
-    /// Causal provenance (write) — e.g. to disable or resize the capture.
-    pub fn provenance_mut(&mut self) -> &mut Provenance {
-        &mut self.provenance
     }
 
     /// The run's random stream — for setup code that draws outside events.
@@ -408,9 +416,7 @@ impl<W> Engine<W> {
         let started = if obs::profiling() { Some(Instant::now()) } else { None };
         self.now = time;
         let id = EventId(seq);
-        let node = ProvenanceNode { id, parent, time, span };
-        obs::on_dispatch(&node);
-        self.provenance.record(node);
+        obs::on_dispatch(&ProvenanceNode { id, parent, time, span });
         self.metrics.record_series("engine.events", time, 1);
         self.trace.set_current_event(Some(id));
         let mut ctx = Ctx {
@@ -418,24 +424,27 @@ impl<W> Engine<W> {
             rng: &mut self.rng,
             metrics: &mut self.metrics,
             trace: &mut self.trace,
-            pending: Vec::new(),
+            pending: std::mem::take(&mut self.pending),
             stop: false,
-            first_topic: None,
+            first_topic: std::mem::take(&mut self.first_topic),
+            topic_noted: false,
             event: id,
         };
         f(&mut self.world, &mut ctx);
-        let Ctx { pending, stop, first_topic, .. } = ctx;
+        let Ctx { mut pending, stop, first_topic, topic_noted, .. } = ctx;
         if let Some(start) = started {
-            let topic = first_topic.as_deref().unwrap_or("engine.untraced");
+            let topic = if topic_noted { first_topic.as_str() } else { "engine.untraced" };
             obs::on_handler(topic, virtual_micros, start.elapsed().as_nanos() as u64);
         }
         self.trace.set_current_event(None);
         obs::on_dispatch_end();
-        for (at, f, span) in pending {
+        for (at, f, span) in pending.drain(..) {
             let seq = self.seq;
             self.seq += 1;
             self.queue.push(Scheduled { time: at, seq, f, parent: Some(id), span });
         }
+        self.pending = pending;
+        self.first_topic = first_topic;
         self.events_processed += 1;
         if checkpoint::active() {
             self.checkpoint_step();
@@ -858,6 +867,7 @@ mod tests {
 
     #[test]
     fn provenance_links_children_to_their_scheduler() {
+        let guard = crate::obs::begin(crate::obs::ObsMode::Profile);
         let mut eng = Engine::new(World::default(), 1);
         eng.schedule_at(SimTime::from_millis(1), |w: &mut World, ctx| {
             w.log.push(1);
@@ -869,21 +879,21 @@ mod tests {
         eng.schedule_at(SimTime::from_millis(9), |w: &mut World, _| w.log.push(9));
         eng.run_to_completion();
 
-        let p = eng.provenance();
-        assert_eq!(p.len(), 4);
-        assert_eq!(p.roots().count(), 2, "both external schedules are roots");
-        // The chain 1 -> 2 -> 3 is recorded parent by parent.
-        let chain: Vec<(u64, Option<u64>)> =
-            p.ancestry(EventId(3)).iter().map(|n| (n.id.0, n.parent.map(|e| e.0))).collect();
-        assert_eq!(chain, [(3, Some(2)), (2, Some(0)), (0, None)]);
+        let p = guard.finish().provenance;
+        let links: Vec<(u64, Option<u64>)> =
+            p.iter().map(|n| (n.id.0, n.parent.map(|e| e.0))).collect();
+        // In dispatch order: both external schedules are roots, and the
+        // chain 0 -> 2 -> 3 is recorded parent by parent.
+        assert_eq!(links, [(0, None), (2, Some(0)), (3, Some(2)), (1, None)]);
         // Dispatch times are recorded.
-        assert_eq!(p.get(EventId(3)).unwrap().time, SimTime::from_millis(3));
+        assert_eq!(p[2].time, SimTime::from_millis(3));
         // The engine also tallies a windowed event series.
         assert_eq!(eng.metrics().series("engine.events").unwrap().total(), 4);
     }
 
     #[test]
     fn provenance_captures_the_open_span_at_schedule_time() {
+        let guard = crate::obs::begin(crate::obs::ObsMode::Profile);
         let mut eng = Engine::new(World::default(), 1);
         eng.schedule_at(SimTime::from_millis(1), |_, ctx| {
             ctx.span_enter("net.send", None, &[]);
@@ -892,10 +902,10 @@ mod tests {
             ctx.schedule_in(SimTime::from_millis(2), |_, _| {});
         });
         eng.run_to_completion();
-        let inside = eng.provenance().get(EventId(1)).unwrap();
-        assert_eq!(inside.span.as_deref(), Some("net.send"));
-        let outside = eng.provenance().get(EventId(2)).unwrap();
-        assert_eq!(outside.span, None);
+        let p = guard.finish().provenance;
+        let spans: Vec<(u64, Option<&str>)> =
+            p.iter().map(|n| (n.id.0, n.span.as_deref())).collect();
+        assert_eq!(spans, [(0, None), (1, Some("net.send")), (2, None)]);
     }
 
     #[test]
@@ -912,24 +922,6 @@ mod tests {
         // Outside dispatch, entries carry no stamp.
         eng.trace_mut().record(SimTime::from_millis(9), "t", "outside");
         assert_eq!(eng.trace().entries().last().unwrap().event, None);
-    }
-
-    #[test]
-    fn provenance_capture_never_changes_the_run_digest() {
-        let run = |disable: bool| {
-            let mut eng = Engine::new(World::default(), 5);
-            if disable {
-                eng.provenance_mut().disable();
-            }
-            eng.schedule_at(SimTime::from_millis(1), |_, ctx| {
-                let roll = ctx.rng.range(0..100u32);
-                ctx.trace("t", format!("rolled {roll}"));
-                ctx.schedule_in(SimTime::from_millis(1), |_, ctx| ctx.metrics.incr("x"));
-            });
-            eng.run_to_completion();
-            eng.digest()
-        };
-        assert_eq!(run(false), run(true));
     }
 
     impl checkpoint::Snapshottable for World {

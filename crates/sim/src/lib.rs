@@ -11,7 +11,8 @@
 //!   insertion sequence) so runs are bit-for-bit reproducible.
 //! * [`SimRng`] — a seeded, forkable ChaCha8 random stream.
 //! * [`Metrics`] — counters, gauges and log-bucket histograms.
-//! * [`Trace`] — a bounded in-memory event log for diagnostics.
+//! * [`Trace`] — a bounded in-memory event log for diagnostics, kept in a
+//!   [`TraceLog`] arena.
 //! * [`FaultInjector`] — drop/corrupt/rate-limit knobs in the style of
 //!   smoltcp's example harness.
 //! * [`FaultPlan`] — a deterministic, schedulable script of infrastructure
@@ -25,11 +26,11 @@
 //! * [`obs`] — an ambient per-run observation scope: cost counters
 //!   (events, rng draws, forwards), a rolling digest, and Profile-mode
 //!   per-topic time attribution, all zero-cost when disabled.
-//! * [`log`] — the bounded, arena-backed entry log a Profile scope
-//!   captures, read in place by every trace view and exporter.
+//! * [`log`] — the bounded, arena-backed entry log behind every trace and
+//!   the Profile capture, read in place by every trace view and exporter.
 //! * [`provenance`] — the causal DAG of which event scheduled which:
-//!   every dispatch records its parent event and originating span, with
-//!   bounded capture and ancestry walks ("why did this event run?").
+//!   every dispatch builds a node with its parent event and originating
+//!   span, which a Profile scope captures ("why did this event run?").
 //! * [`flame`] — deterministic collapsed-stack (flamegraph) rendering of
 //!   span captures, attributed by virtual time.
 //! * [`export`] — deterministic Chrome/Perfetto trace-event JSON,
@@ -94,7 +95,7 @@ pub use metrics::{
 };
 pub use obs::{ObsGuard, ObsMode, RunRecord, StakeholderCost, TopicCost, UNATTRIBUTED};
 pub use plan::{FaultAction, FaultEvent, FaultPlan};
-pub use provenance::{Provenance, ProvenanceNode};
+pub use provenance::ProvenanceNode;
 pub use rng::SimRng;
 pub use time::SimTime;
 pub use trace::{SpanKind, Trace, TraceEntry};

@@ -1,8 +1,9 @@
-//! The bounded entry log a Profile-mode observation scope captures.
+//! The bounded entry log behind every trace: an engine's own
+//! [`crate::Trace`] and the capture of a Profile-mode observation scope.
 //!
 //! Every reader of a profiled run — `trace`, `explain`, `diff`, collapsed
-//! stacks and the Chrome and JSONL exporters — walks this log. It is one
-//! arena: fixed-size slots in capture order, each holding an entry's time,
+//! stacks and the Chrome and JSONL exporters — walks the scope's log. It is
+//! one arena: fixed-size slots in capture order, each holding an entry's time,
 //! kind, depth, event stamp and where its strings sit, and one shared
 //! buffer holding every topic, message, stakeholder and field string back
 //! to back. Capturing an entry copies its borrowed parts into the buffers,
@@ -30,11 +31,13 @@ struct Slot {
     has_stakeholder: bool,
 }
 
-/// A bounded log of trace entries, oldest first. Holds at most
-/// [`TraceLog::CAPACITY`] entries and evicts the oldest first, counting
-/// what it evicted in [`TraceLog::dropped`].
-#[derive(Debug, Clone, Default)]
+/// A bounded log of trace entries, oldest first. Holds at most its
+/// capacity ([`TraceLog::CAPACITY`] for a default log, what
+/// [`crate::Trace::with_capacity`] asks for an engine's trace) and evicts
+/// the oldest first, counting what it evicted in [`TraceLog::dropped`].
+#[derive(Debug, Clone)]
 pub struct TraceLog {
+    capacity: usize,
     slots: VecDeque<Slot>,
     /// Each retained entry's strings back to back, in capture order: topic,
     /// message, stakeholder when present, then each field's key and value.
@@ -48,13 +51,30 @@ pub struct TraceLog {
 /// A log entry, borrowed from the log's buffers.
 pub type LogEntry<'a> = EntryParts<'a, LogFields<'a>>;
 
+impl Default for TraceLog {
+    fn default() -> Self {
+        TraceLog::with_capacity(TraceLog::CAPACITY)
+    }
+}
+
 impl TraceLog {
-    /// How many entries the log retains.
+    /// How many entries a default log retains.
     pub const CAPACITY: usize = 65_536;
+
+    /// An empty log retaining at most `capacity` entries (at least one).
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        TraceLog {
+            capacity: capacity.max(1),
+            slots: VecDeque::new(),
+            text: String::new(),
+            lens: Vec::new(),
+            dropped: 0,
+        }
+    }
 
     /// Capture one entry, evicting the oldest when the log is full.
     pub(crate) fn push<'a, F: Fields<'a>>(&mut self, entry: &EntryParts<'a, F>) {
-        if self.slots.len() == Self::CAPACITY {
+        if self.slots.len() == self.capacity {
             self.evict_oldest();
         }
         self.slots.push_back(Slot {
@@ -95,6 +115,13 @@ impl TraceLog {
                 slot.lens_at -= dead_lens;
             }
         }
+    }
+
+    /// Drop every retained entry; the count of evicted ones stays.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.text.clear();
+        self.lens.clear();
     }
 
     /// Retained entries.

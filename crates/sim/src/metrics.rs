@@ -334,29 +334,12 @@ impl MetricsSnapshot {
     /// is deliberately excluded: series are derived from already-digested
     /// streams, and digests must stay stable as series capture evolves.
     pub fn absorb_into(&self, h: &mut Fnv1a) {
-        h.write_u8(0xB1);
-        h.write_u64(self.counters.len() as u64);
-        for (k, v) in &self.counters {
-            h.write_str(k);
-            h.write_u64(*v);
-        }
-        h.write_u8(0xB2);
-        h.write_u64(self.gauges.len() as u64);
-        for (k, v) in &self.gauges {
-            h.write_str(k);
-            h.write_f64(*v);
-        }
-        h.write_u8(0xB3);
-        h.write_u64(self.histograms.len() as u64);
-        for (k, s) in &self.histograms {
-            h.write_str(k);
-            h.write_u64(s.count);
-            h.write_f64(s.sum);
-            h.write_f64(s.min);
-            h.write_f64(s.p50);
-            h.write_f64(s.p95);
-            h.write_f64(s.max);
-        }
+        absorb_metrics(
+            h,
+            self.counters.iter().map(|(k, v)| (k.as_str(), *v)),
+            self.gauges.iter().map(|(k, v)| (k.as_str(), *v)),
+            self.histograms.iter().map(|(k, s)| (k.as_str(), *s)),
+        );
     }
 
     /// Whether the snapshot holds no metrics at all.
@@ -414,6 +397,41 @@ impl MetricsSnapshot {
     /// Render as a JSON object string.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("snapshot serializes")
+    }
+}
+
+/// The metrics hashing recipe, written once: counters, gauges and
+/// histogram summaries, each section tagged and counted, in key order.
+/// [`MetricsSnapshot::absorb_into`] feeds it an export and
+/// [`Metrics::absorb_into`] the live sink, so both hash identically.
+fn absorb_metrics<'a>(
+    h: &mut Fnv1a,
+    counters: impl ExactSizeIterator<Item = (&'a str, u64)>,
+    gauges: impl ExactSizeIterator<Item = (&'a str, f64)>,
+    histograms: impl ExactSizeIterator<Item = (&'a str, HistogramSummary)>,
+) {
+    h.write_u8(0xB1);
+    h.write_u64(counters.len() as u64);
+    for (k, v) in counters {
+        h.write_str(k);
+        h.write_u64(v);
+    }
+    h.write_u8(0xB2);
+    h.write_u64(gauges.len() as u64);
+    for (k, v) in gauges {
+        h.write_str(k);
+        h.write_f64(v);
+    }
+    h.write_u8(0xB3);
+    h.write_u64(histograms.len() as u64);
+    for (k, s) in histograms {
+        h.write_str(k);
+        h.write_u64(s.count);
+        h.write_f64(s.sum);
+        h.write_f64(s.min);
+        h.write_f64(s.p50);
+        h.write_f64(s.p95);
+        h.write_f64(s.max);
     }
 }
 
@@ -521,6 +539,17 @@ impl Metrics {
         self.series.get(key)
     }
 
+    /// Absorb the live sink into a hasher exactly as its
+    /// [`snapshot`](Metrics::snapshot) would absorb, without copying a key.
+    pub fn absorb_into(&self, h: &mut Fnv1a) {
+        absorb_metrics(
+            h,
+            self.counters(),
+            self.gauges(),
+            self.histograms.iter().map(|(k, hist)| (k.as_str(), hist.summary())),
+        );
+    }
+
     /// Export every counter, gauge and histogram summary.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -537,12 +566,12 @@ impl Metrics {
     }
 
     /// Iterate counters in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub fn counters(&self) -> impl ExactSizeIterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// Iterate gauges in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
+    pub fn gauges(&self) -> impl ExactSizeIterator<Item = (&str, f64)> {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 

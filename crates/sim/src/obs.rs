@@ -29,7 +29,7 @@ use crate::log::TraceLog;
 use crate::metrics::{Histogram, MetricsSnapshot, RunSeries, TimeSeries};
 use crate::provenance::ProvenanceNode;
 use crate::time::SimTime;
-use crate::trace::{EntryParts, Fields, SpanKind, TraceEntry};
+use crate::trace::{EntryParts, Fields, SpanKind};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -346,10 +346,10 @@ impl ObsState {
     /// them into the log, with the rolling digest after them —
     /// `Fnv1a::finish` is non-consuming, so the prefix stream costs one
     /// push.
-    fn observe<'a, F: Fields<'a>>(&mut self, entry: EntryParts<'a, F>) {
-        self.absorb(&entry);
+    fn observe<'a, F: Fields<'a>>(&mut self, entry: &EntryParts<'a, F>) {
+        self.absorb(entry);
         if self.mode == ObsMode::Profile {
-            self.ring.push(&entry);
+            self.ring.push(entry);
             self.prefix.push(self.hasher.finish());
         }
     }
@@ -480,11 +480,11 @@ pub fn on_fault(at: SimTime) {
     with_state(|s| s.series_faults.record(at, 1));
 }
 
-/// Absorb a structured trace entry (called by [`crate::Trace`] on every
-/// record), keeping the entry's own event stamp.
+/// Absorb a structured trace entry from its borrowed parts (called by
+/// [`crate::Trace`] on every record), keeping the entry's own event stamp.
 #[inline]
-pub fn absorb_entry(entry: &TraceEntry) {
-    with_state(|s| s.observe(entry.parts()));
+pub(crate) fn absorb<'a, F: Fields<'a>>(entry: &EntryParts<'a, F>) {
+    with_state(|s| s.observe(entry));
 }
 
 /// A counter was incremented.
@@ -557,7 +557,7 @@ pub fn on_handler(topic: &str, virtual_micros: u64, wall_nanos: u64) {
 /// per-topic attribution when closed.
 pub fn span_enter(time: SimTime, topic: &str, stakeholder: Option<&str>, fields: &[(&str, &str)]) {
     with_state(|s| {
-        s.observe(EntryParts {
+        s.observe(&EntryParts {
             kind: SpanKind::Enter,
             time,
             topic,
@@ -587,7 +587,7 @@ pub fn span_exit(time: SimTime, fields: &[(&str, &str)]) {
         // Lend the topic buffer out while the state is borrowed mutably.
         let mut open_topics = std::mem::take(&mut s.open_topics);
         let topic = &open_topics[span.topic_at..];
-        s.observe(EntryParts {
+        s.observe(&EntryParts {
             kind: SpanKind::Exit,
             time,
             topic,
@@ -619,7 +619,7 @@ pub fn event(time: SimTime, topic: &str, message: &str) {
 /// inheriting the enclosing span's lane.
 pub fn event_for(time: SimTime, topic: &str, stakeholder: Option<&str>, message: &str) {
     with_state(|s| {
-        s.observe(EntryParts {
+        s.observe(&EntryParts {
             kind: SpanKind::Event,
             time,
             topic,

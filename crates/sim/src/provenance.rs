@@ -1,6 +1,6 @@
 //! Causal provenance: which event scheduled which.
 //!
-//! Every event dispatched by the engine records a [`ProvenanceNode`]: its
+//! Every event dispatched by the engine builds a [`ProvenanceNode`]: its
 //! own [`EventId`], the id of the event whose handler scheduled it (`None`
 //! for *root injections* scheduled from outside the engine), its virtual
 //! dispatch time, and the innermost engine-trace span open when it was
@@ -8,19 +8,16 @@
 //! `parent.0 < id.0` holds for every node, so the recorded graph is a DAG
 //! (a forest, in fact) by construction and ancestry walks always terminate.
 //!
-//! The capture is a bounded ring like [`crate::trace::Trace`]: long runs
-//! keep the most recent [`PROVENANCE_RING_CAPACITY`] nodes and count the
-//! rest as dropped. Provenance is **never digested** — it is positional
-//! bookkeeping derived from the already-digested schedule order, so
-//! capturing (or disabling) it cannot change a run's [`crate::RunDigest`].
+//! The engine hands each node to [`crate::obs::on_dispatch`]; a Profile
+//! scope keeps them in [`crate::RunRecord::provenance`], the one capture
+//! that `explain`, `diff` and the Chrome export read. Provenance is
+//! **never digested** — it is positional bookkeeping derived from the
+//! already-digested schedule order, so capturing it cannot change a run's
+//! [`crate::RunDigest`].
 
 use crate::event::EventId;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
-
-/// Default number of provenance nodes retained by [`Provenance`].
-pub const PROVENANCE_RING_CAPACITY: usize = 65_536;
 
 /// One dispatched event's causal record.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,184 +31,4 @@ pub struct ProvenanceNode {
     pub time: SimTime,
     /// The innermost engine-trace span open when the event was scheduled.
     pub span: Option<String>,
-}
-
-/// A bounded, insertion-ordered capture of [`ProvenanceNode`]s keyed by
-/// event id, with ancestry walks.
-#[derive(Debug, Clone)]
-pub struct Provenance {
-    nodes: BTreeMap<u64, ProvenanceNode>,
-    order: VecDeque<u64>,
-    capacity: usize,
-    dropped: u64,
-    enabled: bool,
-}
-
-impl Default for Provenance {
-    fn default() -> Self {
-        Self::with_capacity(PROVENANCE_RING_CAPACITY)
-    }
-}
-
-impl Provenance {
-    /// An enabled capture retaining at most `capacity` nodes.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            nodes: BTreeMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-            enabled: true,
-        }
-    }
-
-    /// Stop recording (existing nodes are kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
-    /// Resume recording.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Is the capture currently recording?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record a dispatched event, evicting the oldest node when full.
-    pub fn record(&mut self, node: ProvenanceNode) {
-        debug_assert!(
-            node.parent.is_none_or(|p| p.0 < node.id.0),
-            "provenance parent must be scheduled before its child"
-        );
-        if !self.enabled {
-            return;
-        }
-        if self.order.len() == self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.nodes.remove(&old);
-                self.dropped += 1;
-            }
-        }
-        self.order.push_back(node.id.0);
-        self.nodes.insert(node.id.0, node);
-    }
-
-    /// Look up a node by event id.
-    pub fn get(&self, id: EventId) -> Option<&ProvenanceNode> {
-        self.nodes.get(&id.0)
-    }
-
-    /// The causal chain of `id`, youngest first: the event itself, then its
-    /// parent, and so on. The walk stops at a root injection (`parent ==
-    /// None`) or at the first ancestor evicted from the ring. Because
-    /// parent ids strictly decrease, the chain length is bounded by the
-    /// number of retained nodes.
-    pub fn ancestry(&self, id: EventId) -> Vec<&ProvenanceNode> {
-        let mut chain = Vec::new();
-        let mut cur = match self.nodes.get(&id.0) {
-            Some(n) => n,
-            None => return chain,
-        };
-        for _ in 0..=self.nodes.len() {
-            chain.push(cur);
-            match cur.parent {
-                None => break,
-                Some(p) => match self.nodes.get(&p.0) {
-                    Some(next) => cur = next,
-                    None => break,
-                },
-            }
-        }
-        chain
-    }
-
-    /// Retained nodes in execution (dispatch) order.
-    pub fn iter(&self) -> impl Iterator<Item = &ProvenanceNode> {
-        self.order.iter().filter_map(|id| self.nodes.get(id))
-    }
-
-    /// Retained root injections (nodes with no parent), in execution order.
-    pub fn roots(&self) -> impl Iterator<Item = &ProvenanceNode> {
-        self.iter().filter(|n| n.parent.is_none())
-    }
-
-    /// The most recently dispatched retained node.
-    pub fn last(&self) -> Option<&ProvenanceNode> {
-        self.order.back().and_then(|id| self.nodes.get(id))
-    }
-
-    /// Number of retained nodes.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Nodes evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn node(id: u64, parent: Option<u64>, t: u64) -> ProvenanceNode {
-        ProvenanceNode {
-            id: EventId(id),
-            parent: parent.map(EventId),
-            time: SimTime::from_micros(t),
-            span: None,
-        }
-    }
-
-    #[test]
-    fn ancestry_walks_to_the_root() {
-        let mut p = Provenance::default();
-        p.record(node(0, None, 0));
-        p.record(node(1, Some(0), 5));
-        p.record(node(2, Some(1), 9));
-        let chain: Vec<u64> = p.ancestry(EventId(2)).iter().map(|n| n.id.0).collect();
-        assert_eq!(chain, [2, 1, 0]);
-        assert_eq!(p.roots().count(), 1);
-        assert_eq!(p.last().unwrap().id, EventId(2));
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
-        let mut p = Provenance::with_capacity(2);
-        p.record(node(0, None, 0));
-        p.record(node(1, Some(0), 1));
-        p.record(node(2, Some(1), 2));
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.dropped(), 1);
-        assert!(p.get(EventId(0)).is_none());
-        // Ancestry stops at the evicted ancestor instead of looping.
-        let chain: Vec<u64> = p.ancestry(EventId(2)).iter().map(|n| n.id.0).collect();
-        assert_eq!(chain, [2, 1]);
-    }
-
-    #[test]
-    fn disabled_capture_records_nothing() {
-        let mut p = Provenance::default();
-        p.disable();
-        p.record(node(0, None, 0));
-        assert!(p.is_empty());
-        p.enable();
-        p.record(node(1, None, 1));
-        assert_eq!(p.len(), 1);
-    }
-
-    #[test]
-    fn unknown_event_yields_empty_chain() {
-        let p = Provenance::default();
-        assert!(p.ancestry(EventId(7)).is_empty());
-    }
 }

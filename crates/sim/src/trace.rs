@@ -2,23 +2,26 @@
 //!
 //! The paper's "design what happens when transparency fails" principle
 //! demands that the substrate can always explain what it did. The trace is
-//! a bounded ring of structured entries — plain events plus nested
+//! a bounded log of structured entries — plain events plus nested
 //! `span_enter`/`span_exit` pairs carrying a topic, an optional stakeholder
 //! and key/value fields — that scenario code, diagnostics (traceroute-style
-//! blame reports) and the `tussle-cli trace` command read back.
+//! blame reports) and the `tussle-cli trace` command read back. Entries
+//! live in a [`TraceLog`] arena and are read in place as [`LogEntry`]
+//! views; a message is rendered once, into a buffer the trace reuses, so
+//! recording allocates nothing per entry.
 //!
 //! Every entry recorded here is also mirrored into the ambient observation
 //! layer ([`crate::obs`]) when a run scope is active, so per-run digests
-//! cover the trace stream even when the ring later evicts entries.
+//! cover the trace stream even when the log later evicts entries.
 
 use crate::digest::{Fnv1a, RunDigest};
 use crate::event::EventId;
 use crate::export::{push_json_str, push_u64};
+use crate::log::{LogEntry, TraceLog};
 use crate::obs;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// What kind of record a trace entry is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -215,26 +218,20 @@ impl TraceEntry {
             event: self.event,
         }
     }
-
-    /// Absorb this entry into a hasher (the per-entry digest contribution).
-    /// Note `event` is excluded by design — see its field doc.
-    pub fn absorb_into(&self, h: &mut Fnv1a) {
-        self.parts().absorb_into(h);
-    }
 }
 
-/// A bounded ring buffer of structured trace entries with a span stack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A bounded log of structured trace entries with a span stack.
+#[derive(Debug, Clone)]
 pub struct Trace {
-    entries: VecDeque<TraceEntry>,
-    capacity: usize,
+    log: TraceLog,
     enabled: bool,
-    dropped: u64,
     /// Topics of currently open spans, innermost last.
     open: Vec<String>,
     /// The event currently being dispatched by the owning engine, if any;
     /// stamped onto every entry recorded while it is set.
     current_event: Option<EventId>,
+    /// The latest rendered message, one buffer reused by every record.
+    message: String,
 }
 
 impl Default for Trace {
@@ -244,15 +241,14 @@ impl Default for Trace {
 }
 
 impl Trace {
-    /// A trace ring holding at most `capacity` entries.
+    /// A trace retaining at most `capacity` entries.
     pub fn with_capacity(capacity: usize) -> Self {
         Trace {
-            entries: VecDeque::with_capacity(capacity.min(4096)),
-            capacity: capacity.max(1),
+            log: TraceLog::with_capacity(capacity),
             enabled: true,
-            dropped: 0,
             open: Vec::new(),
             current_event: None,
+            message: String::new(),
         }
     }
 
@@ -279,56 +275,53 @@ impl Trace {
         self.enabled = true;
     }
 
-    fn push(&mut self, entry: TraceEntry) {
-        obs::absorb_entry(&entry);
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-            self.dropped += 1;
-        }
-        self.entries.push_back(entry);
+    /// Keep one entry, mirrored into the ambient scope, evicting the oldest
+    /// when full. An event carries the message just rendered; span edges
+    /// carry none.
+    fn push(
+        &mut self,
+        kind: SpanKind,
+        time: SimTime,
+        topic: &str,
+        stakeholder: Option<&str>,
+        fields: &[(&str, &str)],
+    ) {
+        let entry = EntryParts {
+            kind,
+            time,
+            topic,
+            message: if kind == SpanKind::Event { &self.message } else { "" },
+            stakeholder,
+            fields: fields.iter().copied(),
+            depth: self.open.len() as u32,
+            event: self.current_event,
+        };
+        obs::absorb(&entry);
+        self.log.push(&entry);
     }
 
     /// Record a point event; evicts the oldest entry when full.
-    pub fn record(&mut self, time: SimTime, topic: &str, message: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
-        let depth = self.open.len() as u32;
-        self.push(TraceEntry {
-            time,
-            topic: topic.to_owned(),
-            message: message.into(),
-            kind: SpanKind::Event,
-            stakeholder: None,
-            fields: Vec::new(),
-            depth,
-            event: self.current_event,
-        });
+    #[inline]
+    pub fn record(&mut self, time: SimTime, topic: &str, message: impl Display) {
+        self.record_fields(time, topic, None, &[], message);
     }
 
-    /// Record a point event with a stakeholder and key/value fields.
+    /// Record a point event with a stakeholder and key/value fields. The
+    /// message is rendered only when the trace is enabled.
+    #[inline]
     pub fn record_fields(
         &mut self,
         time: SimTime,
         topic: &str,
         stakeholder: Option<&str>,
         fields: &[(&str, &str)],
-        message: impl Into<String>,
+        message: impl Display,
     ) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.message.clear();
+            let _ = write!(self.message, "{message}");
+            self.push(SpanKind::Event, time, topic, stakeholder, fields);
         }
-        let depth = self.open.len() as u32;
-        self.push(TraceEntry {
-            time,
-            topic: topic.to_owned(),
-            message: message.into(),
-            kind: SpanKind::Event,
-            stakeholder: stakeholder.map(str::to_owned),
-            fields: fields.iter().map(|(k, v)| ((*k).to_owned(), (*v).to_owned())).collect(),
-            depth,
-            event: self.current_event,
-        });
     }
 
     /// Open a span: records an `Enter` edge and pushes `topic` onto the
@@ -344,17 +337,7 @@ impl Trace {
         if !self.enabled {
             return;
         }
-        let depth = self.open.len() as u32;
-        self.push(TraceEntry {
-            time,
-            topic: topic.to_owned(),
-            message: String::new(),
-            kind: SpanKind::Enter,
-            stakeholder: stakeholder.map(str::to_owned),
-            fields: fields.iter().map(|(k, v)| ((*k).to_owned(), (*v).to_owned())).collect(),
-            depth,
-            event: self.current_event,
-        });
+        self.push(SpanKind::Enter, time, topic, stakeholder, fields);
         self.open.push(topic.to_owned());
     }
 
@@ -366,17 +349,7 @@ impl Trace {
             return None;
         }
         let topic = self.open.pop()?;
-        let depth = self.open.len() as u32;
-        self.push(TraceEntry {
-            time,
-            topic: topic.clone(),
-            message: String::new(),
-            kind: SpanKind::Exit,
-            stakeholder: None,
-            fields: fields.iter().map(|(k, v)| ((*k).to_owned(), (*v).to_owned())).collect(),
-            depth,
-            event: self.current_event,
-        });
+        self.push(SpanKind::Exit, time, &topic, None, fields);
         Some(topic)
     }
 
@@ -386,61 +359,63 @@ impl Trace {
     }
 
     /// All retained entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter()
+    pub fn entries(&self) -> impl DoubleEndedIterator<Item = LogEntry<'_>> + ExactSizeIterator {
+        self.log.iter()
     }
 
     /// Entries whose topic starts with `prefix`.
-    pub fn with_topic<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceEntry> {
-        self.entries.iter().filter(move |e| e.topic.starts_with(prefix))
+    pub fn with_topic<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = LogEntry<'a>> {
+        self.log.iter().filter(move |e| e.topic.starts_with(prefix))
     }
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.log.len()
     }
 
-    /// Whether the ring is empty.
+    /// Whether the trace retains nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.log.is_empty()
     }
 
     /// Entries evicted due to capacity.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.log.dropped()
     }
 
     /// Clear all retained entries (the dropped count and span stack
     /// persist).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.log.clear();
+    }
+
+    /// Absorb the retained entries, count first, into a hasher.
+    fn absorb_into(&self, h: &mut Fnv1a) {
+        h.write_u64(self.log.len() as u64);
+        for e in self.log.iter() {
+            e.absorb_into(h);
+        }
     }
 
     /// FNV-1a digest over the retained structured entries. Invariant under
-    /// ring-capacity changes that do not drop entries; see
+    /// capacity changes that do not drop entries; see
     /// [`RunDigest::of_run`] for the trace + metrics combination.
     pub fn digest(&self) -> RunDigest {
         let mut h = Fnv1a::new();
-        h.write_u64(self.entries.len() as u64);
-        for e in &self.entries {
-            e.absorb_into(&mut h);
-        }
+        self.absorb_into(&mut h);
         RunDigest(h.finish())
     }
 }
 
 impl RunDigest {
     /// Digest of one engine run: the retained structured trace plus the
-    /// final metrics snapshot. Two runs with equal digests recorded the
-    /// same traces and ended with the same metrics — the one-line
-    /// determinism check for code that owns its [`crate::Engine`].
+    /// final metrics. Two runs with equal digests recorded the same traces
+    /// and ended with the same metrics — the one-line determinism check
+    /// for code that owns its [`crate::Engine`].
     pub fn of_run(trace: &Trace, metrics: &crate::metrics::Metrics) -> RunDigest {
         let mut h = Fnv1a::new();
-        h.write_u64(trace.entries.len() as u64);
-        for e in &trace.entries {
-            e.absorb_into(&mut h);
-        }
-        metrics.snapshot().absorb_into(&mut h);
+        trace.absorb_into(&mut h);
+        metrics.absorb_into(&mut h);
         RunDigest(h.finish())
     }
 }
@@ -454,7 +429,7 @@ mod tests {
         let mut t = Trace::with_capacity(8);
         t.record(SimTime::from_micros(1), "a", "first");
         t.record(SimTime::from_micros(2), "b", "second");
-        let msgs: Vec<_> = t.entries().map(|e| e.message.as_str()).collect();
+        let msgs: Vec<_> = t.entries().map(|e| e.message).collect();
         assert_eq!(msgs, ["first", "second"]);
     }
 
@@ -466,7 +441,7 @@ mod tests {
         t.record(SimTime::ZERO, "x", "3");
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 1);
-        let msgs: Vec<_> = t.entries().map(|e| e.message.as_str()).collect();
+        let msgs: Vec<_> = t.entries().map(|e| e.message).collect();
         assert_eq!(msgs, ["2", "3"]);
     }
 
@@ -490,6 +465,28 @@ mod tests {
         t.enable();
         t.record(SimTime::ZERO, "x", "seen");
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn messages_render_only_when_enabled() {
+        /// A message that counts how often it is rendered.
+        struct Counted<'a>(&'a std::cell::Cell<u32>);
+        impl Display for Counted<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.0.set(self.0.get() + 1);
+                f.write_str("rendered")
+            }
+        }
+        let renders = std::cell::Cell::new(0);
+        let mut t = Trace::default();
+        t.disable();
+        t.record(SimTime::ZERO, "x", Counted(&renders));
+        t.record_fields(SimTime::ZERO, "x", None, &[], Counted(&renders));
+        assert_eq!(renders.get(), 0, "a disabled trace renders nothing");
+        t.enable();
+        t.record(SimTime::ZERO, "x", format_args!("{} {}", Counted(&renders), 7));
+        assert_eq!(renders.get(), 1, "rendered once");
+        assert_eq!(t.entries().next().unwrap().message, "rendered 7");
     }
 
     #[test]
@@ -521,13 +518,13 @@ mod tests {
         assert_eq!(entries.len(), 5);
         assert_eq!(entries[0].kind, SpanKind::Enter);
         assert_eq!(entries[0].depth, 0);
-        assert_eq!(entries[0].stakeholder.as_deref(), Some("provider"));
+        assert_eq!(entries[0].stakeholder, Some("provider"));
         assert_eq!(entries[1].depth, 1, "event inside a span is nested");
         assert_eq!(entries[2].depth, 1);
         assert_eq!(entries[3].kind, SpanKind::Exit);
         assert_eq!(entries[3].topic, "econ.switch");
         assert_eq!(entries[4].topic, "econ.market");
-        assert_eq!(entries[4].fields, vec![("markup".to_owned(), "0.5".to_owned())]);
+        assert_eq!(entries[4].fields.collect::<Vec<_>>(), [("markup", "0.5")]);
     }
 
     #[test]
@@ -575,7 +572,7 @@ mod tests {
         stamped.set_current_event(Some(EventId(9)));
         stamped.record(SimTime::from_micros(1), "t", "m");
         assert_eq!(stamped.entries().next().unwrap().event, Some(EventId(9)));
-        assert!(stamped.entries().next().unwrap().parts().to_line().ends_with("@e9"));
+        assert!(stamped.entries().next().unwrap().to_line().ends_with("@e9"));
         assert_eq!(plain.digest(), stamped.digest(), "ids are positional, not semantic");
         stamped.set_current_event(None);
         stamped.record(SimTime::from_micros(2), "t", "m2");
@@ -598,7 +595,7 @@ mod tests {
         let mut t = Trace::default();
         t.span_enter(SimTime::from_micros(3), "net.forward", Some("isp"), &[("dst", "h3")]);
         t.record(SimTime::from_micros(4), "net.hop", "r1 -> r2");
-        let lines: Vec<String> = t.entries().map(|e| e.parts().to_line()).collect();
+        let lines: Vec<String> = t.entries().map(|e| e.to_line()).collect();
         assert!(lines[0].contains("> net.forward"), "{}", lines[0]);
         assert!(lines[0].contains("[isp]"));
         assert!(lines[0].contains("{dst=h3}"));

@@ -141,7 +141,7 @@ fn capture(mode: ObsMode, steps: &[Step]) -> RunRecord {
 /// The Profile capture the log replaced, kept as its reference: one owned
 /// `TraceEntry` per absorbed entry in a bounded `VecDeque`. Ambient entries
 /// are built from their parts and stamped with the dispatching event;
-/// entries recorded on a [`Trace`] are cloned with their own stamp.
+/// entries recorded on a [`Trace`] are copied out with their own stamp.
 #[derive(Debug, Default)]
 struct OwnedRing {
     entries: VecDeque<TraceEntry>,
@@ -230,7 +230,7 @@ impl OwnedRing {
             // The Trace holds every entry it recorded (no step sequence
             // fills it), so a recorded step's entry is its newest.
             if trace.len() > recorded {
-                ring.capture(trace.entries().last().expect("just recorded").clone());
+                ring.capture(trace.entries().next_back().expect("just recorded").to_entry());
             }
         }
         ring
@@ -285,7 +285,7 @@ proptest! {
     /// Cost mode (borrowed parts, interned lanes) and Profile mode (owned
     /// entries in the ring) observe the same stream: equal digests,
     /// counters and stakeholder folds. Profile's prefix digests are the
-    /// ring replayed through `TraceEntry::absorb_into`, and its fold equals
+    /// ring replayed through `EntryParts::absorb_into`, and its fold equals
     /// the owned-`String` reference fold over the ring.
     #[test]
     fn cost_and_profile_capture_agree(steps in arb_steps()) {

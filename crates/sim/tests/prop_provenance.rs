@@ -1,8 +1,10 @@
-//! Property tests for event provenance: the causal DAG the engine records
-//! while dispatching.
+//! Property tests for event provenance: the causal DAG the engine builds
+//! while dispatching, as a Profile-mode observation scope captures it in
+//! `RunRecord::provenance`.
 
 use proptest::prelude::*;
-use tussle_sim::{obs, Ctx, Engine, SimTime};
+use std::collections::BTreeSet;
+use tussle_sim::{obs, Ctx, Engine, ProvenanceNode, SimTime};
 
 /// A self-expanding event tree: each event schedules `fan` children until
 /// `depth` is exhausted. The world counts dispatches.
@@ -20,14 +22,18 @@ fn tick(depth: u8, fan: u8, delay: u64) -> impl FnOnce(&mut u64, &mut Ctx<u64>) 
     }
 }
 
-/// Build and run a random event forest, returning the engine.
-fn run_forest(roots: &[u64], depth: u8, fan: u8, delay: u64) -> Engine<u64> {
+/// Build and run a random event forest under a Profile scope, returning
+/// the dispatch count and the captured provenance, in dispatch order.
+fn run_forest(roots: &[u64], depth: u8, fan: u8, delay: u64) -> (u64, Vec<ProvenanceNode>) {
+    let guard = obs::begin(obs::ObsMode::Profile);
     let mut eng: Engine<u64> = Engine::new(0, 7);
     for t in roots {
         eng.schedule_at(SimTime::from_micros(*t), tick(depth, fan, delay));
     }
     eng.run_to_completion();
-    eng
+    let record = guard.finish();
+    assert_eq!(record.provenance_dropped, 0, "forests stay far below the capture bound");
+    (eng.world, record.provenance)
 }
 
 proptest! {
@@ -42,56 +48,17 @@ proptest! {
         fan in 1u8..3,
         delay in 1u64..100,
     ) {
-        let eng = run_forest(&roots, depth, fan, delay);
-        prop_assert_eq!(eng.provenance().len() as u64, eng.world, "one node per dispatch");
-        for node in eng.provenance().iter() {
+        let (dispatched, nodes) = run_forest(&roots, depth, fan, delay);
+        prop_assert_eq!(nodes.len() as u64, dispatched, "one node per dispatch");
+        let ids: BTreeSet<u64> = nodes.iter().map(|n| n.id.0).collect();
+        for node in &nodes {
             if let Some(parent) = node.parent {
                 prop_assert!(parent.0 < node.id.0, "child {} scheduled by later {}", node.id, parent);
-                prop_assert!(eng.provenance().get(parent).is_some(), "parent {parent} recorded");
+                prop_assert!(ids.contains(&parent.0), "parent {parent} recorded");
             }
         }
         // Exactly the externally injected events are roots.
-        prop_assert_eq!(eng.provenance().roots().count(), roots.len());
-    }
-
-    /// Ancestry walks terminate at a root in at most `events` hops, with
-    /// strictly decreasing ids along the way.
-    #[test]
-    fn ancestry_terminates_at_a_root(
-        roots in proptest::collection::vec(0u64..1_000, 1..3),
-        depth in 0u8..4,
-        fan in 1u8..3,
-        delay in 1u64..100,
-    ) {
-        let eng = run_forest(&roots, depth, fan, delay);
-        let events = eng.provenance().len();
-        for node in eng.provenance().iter() {
-            let chain = eng.provenance().ancestry(node.id);
-            prop_assert!(!chain.is_empty() && chain.len() <= events);
-            prop_assert_eq!(chain[0].id, node.id, "chain starts at the query");
-            prop_assert_eq!(chain.last().unwrap().parent, None, "chain ends at a root");
-            for hop in chain.windows(2) {
-                prop_assert!(hop[1].id.0 < hop[0].id.0, "ids strictly decrease walking up");
-            }
-        }
-    }
-
-    /// The ambient observation scope (Profile mode) mirrors the engine's
-    /// own provenance ring node-for-node.
-    #[test]
-    fn obs_mirror_matches_the_engine_ring(
-        roots in proptest::collection::vec(0u64..1_000, 1..3),
-        depth in 0u8..3,
-        fan in 1u8..3,
-        delay in 1u64..100,
-    ) {
-        let guard = obs::begin(obs::ObsMode::Profile);
-        let eng = run_forest(&roots, depth, fan, delay);
-        let record = guard.finish();
-        prop_assert_eq!(record.events as usize, eng.provenance().len());
-        let engine_nodes: Vec<_> = eng.provenance().iter().cloned().collect();
-        prop_assert_eq!(record.provenance, engine_nodes);
-        prop_assert_eq!(record.provenance_dropped, 0);
+        prop_assert_eq!(nodes.iter().filter(|n| n.parent.is_none()).count(), roots.len());
     }
 
     /// Ids are schedule-order sequence numbers: every id in 0..n occurs
@@ -102,12 +69,12 @@ proptest! {
         roots in proptest::collection::vec(0u64..1_000, 1..3),
         depth in 0u8..3,
     ) {
-        let eng = run_forest(&roots, depth, 2, 10);
-        let mut ids: Vec<u64> = eng.provenance().iter().map(|n| n.id.0).collect();
+        let (_, nodes) = run_forest(&roots, depth, 2, 10);
+        let mut ids: Vec<u64> = nodes.iter().map(|n| n.id.0).collect();
         ids.sort_unstable();
-        let expected: Vec<u64> = (0..eng.provenance().len() as u64).collect();
+        let expected: Vec<u64> = (0..nodes.len() as u64).collect();
         prop_assert_eq!(ids, expected);
-        for pair in eng.provenance().iter().collect::<Vec<_>>().windows(2) {
+        for pair in nodes.windows(2) {
             prop_assert!(pair[0].time <= pair[1].time, "dispatch order is time order");
         }
     }
