@@ -10,10 +10,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "==> tier-1 build: cargo build --release --workspace"
-# --workspace so target/release/tussle-cli exists for the smokes below;
-# the plain root build does not pull the CLI binary in.
-cargo build --release --workspace
+echo "==> tier-1 build: cargo build --release"
+# default-members lists every workspace member, so the plain build also
+# makes target/release/tussle-cli for the smokes below.
+cargo build --release
 
 # The tier-1 test pass, split per suite so every binary gets a wall-clock
 # reading and a hard budget: a test binary that crosses 120s has outgrown
@@ -51,8 +51,6 @@ timed_test "econ/prop_ledger"              -p tussle-econ        --test prop_led
 timed_test "experiments/chaos_campaign"    -p tussle-experiments --test chaos_campaign
 timed_test "experiments/oracle_fuzz"       -p tussle-experiments --test oracle_fuzz
 timed_test "experiments/profile_allocations" -p tussle-experiments --test profile_allocations
-timed_test "experiments/prop_recovery"     -p tussle-experiments --test prop_recovery
-timed_test "experiments/recovery_oracle"   -p tussle-experiments --test recovery_oracle
 timed_test "game/prop_games"               -p tussle-game        --test prop_games
 timed_test "names/prop_names"              -p tussle-names       --test prop_names
 timed_test "net/oracle_forwarding"         -p tussle-net         --test oracle_forwarding
@@ -63,7 +61,6 @@ timed_test "policy/prop_parser"            -p tussle-policy      --test prop_par
 timed_test "routing/prop_routing"          -p tussle-routing     --test prop_routing
 timed_test "core/prop_scoreboard"          -p tussle-core        --test prop_scoreboard
 timed_test "sim/prop_chaos"                -p tussle-sim         --test prop_chaos
-timed_test "sim/prop_checkpoint"           -p tussle-sim         --test prop_checkpoint
 timed_test "sim/dispatch_allocations"      -p tussle-sim         --test dispatch_allocations
 timed_test "sim/prop_engine"               -p tussle-sim         --test prop_engine
 timed_test "sim/log_eviction"              -p tussle-sim         --test log_eviction
@@ -267,9 +264,8 @@ for fg in E10 E14; do
 done
 echo "flamegraph smoke OK: E10 + E14 virtual-time collapsed stacks are stable"
 
-echo "==> causal sweep: explain/diff/checkpoint meaningful for all 17 experiments"
+echo "==> causal sweep: explain/diff meaningful for all 17 experiments"
 sweep_start=$(date +%s)
-sweep_dir="$(mktemp -d)"
 for id in E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 E15 E16 E17; do
   # explain: every experiment schedules engine events, so event e0 has a
   # complete root-first ancestry chain.
@@ -292,24 +288,13 @@ for id in E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 E15 E16 E17; do
     and (.divergence.a | has("entry") and has("context") and has("ancestry"))
     and (.divergence.b | has("entry") and has("context") and has("ancestry"))
   ' > /dev/null || { echo "FAIL: diff sweep broke at $id" >&2; exit 1; }
-  # checkpoint: the event cursor is live for every id (snapshots fire only
-  # when a run crosses the interval, so `checkpoints` may be 0 at 500).
-  ./target/release/tussle-cli checkpoint --only "$id" --seed 1 --every 500 \
-    --dir "$sweep_dir/$id" --json | jq -e --arg id "$id" '
-    (.experiment == $id)
-    and (.seed == 1) and (.every == 500)
-    and (.events > 0)
-    and ((.files | length) == .checkpoints)
-    and (.shape_holds == true)
-  ' > /dev/null || { echo "FAIL: checkpoint sweep broke at $id" >&2; exit 1; }
 done
-rm -rf "$sweep_dir"
 sweep_elapsed=$(( $(date +%s) - sweep_start ))
 if (( sweep_elapsed > BUDGET_S )); then
   echo "FAIL: causal sweep exceeded the ${BUDGET_S}s budget (${sweep_elapsed}s)" >&2
   exit 1
 fi
-echo "causal sweep OK: all 17 ids explain, diff and checkpoint on the event cursor (${sweep_elapsed}s)"
+echo "causal sweep OK: all 17 ids explain and diff (${sweep_elapsed}s)"
 
 echo "==> route-cache smoke: cached and uncached forwarding digests match"
 cache_on="$(./target/release/tussle-cli profile --only E4 --json | jq -r '.[0].cost.digest')"
@@ -320,65 +305,6 @@ if [[ "$cache_on" != "$cache_off" ]]; then
 fi
 echo "route-cache smoke OK: E4 digest $cache_on with and without the cache"
 
-echo "==> checkpoint smoke: write E9 checkpoints, resume from disk, schema-checked"
-ck_dir="$(mktemp -d)"
-ck_json="$(./target/release/tussle-cli checkpoint --only E9 --seed 5 --every 1 --dir "$ck_dir" --json)"
-echo "$ck_json" | jq -e '
-  (.experiment == "E9") and (.seed == 5) and (.every == 1)
-  and (.checkpoints >= 1)
-  and ((.files | length) == .checkpoints)
-  and (.manifest != null)
-  and (.shape_holds == true)
-' > /dev/null
-last_ck="$(echo "$ck_json" | jq -r '.files[-1]')"
-resume_json="$(./target/release/tussle-cli resume --from "$last_ck" --json)"
-echo "$resume_json" | jq -e '
-  (.experiment == "E9") and (.seed == 5)
-  and (.cursor >= 1)
-  and (.verified == true)
-  and (.report.id == "E9")
-  and (.report.shape_holds == true)
-' > /dev/null
-echo "checkpoint smoke OK: E9 checkpointed to disk and resumed verified"
-
-echo "==> restore smoke: a snapshot from the wrong version must be refused"
-bad_ck="$ck_dir/bad_version.json"
-jq '.version = 99' "$last_ck" > "$bad_ck"
-resume_err=""
-if resume_err="$(./target/release/tussle-cli resume --from "$bad_ck" 2>&1 >/dev/null)"; then
-  echo "FAIL: resume from a version-99 snapshot exited 0" >&2
-  exit 1
-fi
-echo "$resume_err" | grep -q "version mismatch" || {
-  echo "FAIL: version-mismatch error did not name the cause: $resume_err" >&2
-  exit 1
-}
-rm -rf "$ck_dir"
-echo "restore smoke OK: version mismatch exits 1 with a diagnostic"
-
-echo "==> recovery smoke: E4 crash/resume digest equality, schema-checked"
-recovery_json="$(./target/release/tussle-cli recovery --only E4 --seeds 1 --every 200 --json)"
-echo "$recovery_json" | jq -e '
-  (.seeds == 1) and (.kill_points == 1)
-  and (.cells | length == 1)
-  and (.cells[0].id == "E4")
-  and (.cells[0].crashed == true)
-  and (.cells[0].kill_at != null)
-  and (.cells[0].golden_events > 0)
-  and (.cells[0].verified == true)
-  and (.cells[0].identical == true)
-  and (.cells[0].detail == "")
-' > /dev/null
-# Determinism in the thread grid: same recovery report at any worker count.
-for t in 1 2 8; do
-  threaded="$(./target/release/tussle-cli recovery --only E4 --seeds 1 --every 200 --threads "$t" --json)"
-  if [[ "$threaded" != "$recovery_json" ]]; then
-    echo "FAIL: recovery output changed at --threads $t" >&2
-    exit 1
-  fi
-done
-echo "recovery smoke OK: E4 crashed mid-run and resumed byte-identical at 1/2/8 threads"
-
 echo "==> fuzz smoke: fixed-seed campaign, schema-checked, thread-count invariant"
 fuzz_start=$(date +%s)
 fuzz_json="$(./target/release/tussle-cli fuzz --budget 200 --seeds 3 --json)"
@@ -388,7 +314,7 @@ echo "$fuzz_json" | jq -e '
   and (.executions == 200)
   and (.coverage_cells >= 1)
   and (.digest | test("^[0-9a-f]{16}$"))
-  and (.oracles | length == 8)
+  and (.oracles | length == 7)
   and ([.oracles[] | has("oracle") and has("checks") and has("violations")] | all)
   and ([.oracles[] | .checks >= 1] | all)
   and (.chains | length == 3)
@@ -415,7 +341,7 @@ if (( fuzz_elapsed > BUDGET_S )); then
   echo "FAIL: fuzz smoke exceeded the ${BUDGET_S}s budget (${fuzz_elapsed}s)" >&2
   exit 1
 fi
-echo "fuzz smoke OK: 200 executions, 8 oracles green, byte-identical at 1/2/8 threads (${fuzz_elapsed}s)"
+echo "fuzz smoke OK: 200 executions, 7 oracles green, byte-identical at 1/2/8 threads (${fuzz_elapsed}s)"
 
 echo "==> corpus hygiene: no untracked repro artifacts in tests/corpus/"
 untracked_corpus="$(git status --porcelain -- tests/corpus | grep '^??' || true)"
@@ -426,10 +352,10 @@ if [[ -n "$untracked_corpus" ]]; then
 fi
 echo "corpus hygiene OK: every tests/corpus entry is tracked"
 
-echo "==> perf baseline: BENCH_sim.json from the obs + sweep + net + checkpoint + fuzz + substrates + chaos + ablations benches"
+echo "==> perf baseline: BENCH_sim.json from the obs + sweep + net + fuzz + substrates + chaos + ablations benches"
 bench_jsonl="$(mktemp)"
 trap 'rm -f "$bench_jsonl"' EXIT
-CRITERION_JSON="$bench_jsonl" cargo bench -p tussle-bench --bench obs --bench sweep --bench net --bench checkpoint --bench fuzz --bench substrates --bench chaos --bench ablations
+CRITERION_JSON="$bench_jsonl" cargo bench -p tussle-bench --bench obs --bench sweep --bench net --bench fuzz --bench substrates --bench chaos --bench ablations
 jq -s 'sort_by(.bench)' "$bench_jsonl" > BENCH_sim.json
 jq -e '
   (length >= 12)
@@ -441,7 +367,6 @@ jq -e '
   and ([.[].bench] | any(. == "obs/experiments_profile_scope"))
   and ([.[].bench] | any(startswith("sweep/")))
   and ([.[].bench] | any(startswith("net/")))
-  and ([.[].bench] | any(startswith("checkpoint/")))
   and ([.[].bench] | any(startswith("fuzz/")))
   and ([.[].bench] | any(startswith("layer/")))
   and ([.[].bench] | any(. == "layer/sim/engine_10k_traced"))

@@ -9,11 +9,11 @@
 //!    conservation, NAT round-trip, policy determinism) attached.
 //! 3. `fuzz/oracles` — the sampled cross-run oracles in their standalone
 //!    forms, priced individually: rerun-determinism (a Profile-mode run,
-//!    then a Cost-scope rerun), cache-equivalence (cache-on vs cache-off
-//!    engine runs) and checkpoint-resume (run + snapshot + replay), plus a
-//!    small end-to-end campaign so oracle overhead can be read against
-//!    total campaign cost. Inside a campaign the first two skip their
-//!    reference run: they check the run `run_scenario` already made.
+//!    then a Cost-scope rerun) and cache-equivalence (cache-on vs
+//!    cache-off engine runs), plus a small end-to-end campaign so oracle
+//!    overhead can be read against total campaign cost. Inside a campaign
+//!    both skip their reference run: they check the run `run_scenario`
+//!    already made.
 //!
 //! ```sh
 //! cargo bench -p tussle-bench --bench fuzz
@@ -22,8 +22,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tussle_experiments::fuzz::{
-    check_cache_equivalence, check_checkpoint_resume, check_rerun_determinism, generate, mutate,
-    run_scenario,
+    check_cache_equivalence, check_rerun_determinism, generate, mutate, run_scenario,
 };
 use tussle_experiments::{run_fuzz, FuzzConfig};
 use tussle_sim::SimRng;
@@ -61,9 +60,6 @@ fn bench_oracles(c: &mut Criterion) {
     });
     g.bench_function("oracle-cache-equivalence", |b| {
         b.iter(|| black_box(check_cache_equivalence(black_box(&scenario))))
-    });
-    g.bench_function("oracle-checkpoint-resume", |b| {
-        b.iter(|| black_box(check_checkpoint_resume(black_box(&scenario))))
     });
     g.bench_function("campaign-budget-20", |b| {
         let cfg = FuzzConfig { budget: 20, seeds: 2, base_seed: 1, ..FuzzConfig::default() };

@@ -1,7 +1,9 @@
 //! Equivalence oracle for the table-driven CLI parser.
 //!
 //! The `parse_args` below is the hand-written parser the flag table
-//! replaced, kept verbatim with its helpers; the parser under test is
+//! replaced, kept verbatim with its helpers, less the arms of the
+//! removed `checkpoint`, `resume` and `recovery` commands (both parsers
+//! now reject those words as unknown commands); the parser under test is
 //! called as `tussle_cli::parse_args`. On argument vectors built from
 //! every command (plus an unknown word) and from tokens drawn from every
 //! flag (plus an unknown one) and from valid and malformed values, both
@@ -55,17 +57,6 @@ fn parse_threads(v: &str) -> Result<usize, UsageError> {
     let n: usize = v.parse().map_err(|_| UsageError(format!("bad thread count '{v}'")))?;
     if n == 0 {
         return Err(UsageError("--threads must be at least 1".into()));
-    }
-    Ok(n)
-}
-
-/// Parse an `--every` checkpoint interval. Zero would demand a snapshot
-/// between every pair of events and none at once, so it is rejected
-/// uniformly across `checkpoint` and `recovery`.
-fn parse_every(v: &str) -> Result<u64, UsageError> {
-    let n: u64 = v.parse().map_err(|_| UsageError(format!("bad checkpoint interval '{v}'")))?;
-    if n == 0 {
-        return Err(UsageError("--every must be at least 1".into()));
     }
     Ok(n)
 }
@@ -447,120 +438,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 }
             }
             Ok(Command::Chaos { intensities, seeds, base_seed, only, json, threads })
-        }
-        Some("checkpoint") => {
-            let mut id = None;
-            let mut seed = 2002u64;
-            let mut every = 500u64;
-            let mut dir = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs one id like E9".into()))?;
-                        id = Some(parse_single_only(v)?);
-                    }
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--every" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--every needs an event count".into()))?;
-                        every = parse_every(v)?;
-                    }
-                    "--dir" => {
-                        let v = it.next().ok_or_else(|| UsageError("--dir needs a path".into()))?;
-                        dir = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
-            let id = id.ok_or_else(|| UsageError("checkpoint needs --only <experiment>".into()))?;
-            let dir = dir.ok_or_else(|| UsageError("checkpoint needs --dir <directory>".into()))?;
-            Ok(Command::Checkpoint { id, seed, every, dir, json })
-        }
-        Some("resume") => {
-            let mut from = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--from" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--from needs a snapshot file".into()))?;
-                        from = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
-            let from = from.ok_or_else(|| UsageError("resume needs --from <snapshot>".into()))?;
-            Ok(Command::Resume { from, json })
-        }
-        Some("recovery") => {
-            let defaults = experiments::RecoveryConfig::default();
-            let mut seeds = defaults.seeds;
-            let mut base_seed = defaults.base_seed;
-            let mut kills = defaults.kill_points;
-            let mut every = defaults.every;
-            let mut only = Vec::new();
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seeds" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seeds needs a count".into()))?;
-                        seeds =
-                            v.parse().map_err(|_| UsageError(format!("bad seed count '{v}'")))?;
-                        if seeds == 0 {
-                            return Err(UsageError("--seeds must be at least 1".into()));
-                        }
-                    }
-                    "--base" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--base needs a seed".into()))?;
-                        base_seed =
-                            v.parse().map_err(|_| UsageError(format!("bad base seed '{v}'")))?;
-                    }
-                    "--kills" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--kills needs a count".into()))?;
-                        kills =
-                            v.parse().map_err(|_| UsageError(format!("bad kill count '{v}'")))?;
-                        if kills == 0 {
-                            return Err(UsageError("--kills must be at least 1".into()));
-                        }
-                    }
-                    "--every" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--every needs an event count".into()))?;
-                        every = parse_every(v)?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Recovery { seeds, base_seed, kills, every, only, json, threads })
         }
         Some("fuzz") => {
             let defaults = experiments::FuzzConfig::default();

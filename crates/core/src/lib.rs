@@ -55,7 +55,7 @@ pub use mechanism::Mechanism;
 pub use principles::{choice_index, spillover, value_flow_completeness, visibility_index};
 pub use report::{
     CellStats, ChaosReport, ExperimentReport, ExperimentSweep, FirstFailure, IntensityStats,
-    MarginStats, RecoveryCell, RecoveryReport, Row, RunCost, SweepReport, Table,
+    MarginStats, Row, RunCost, SweepReport, Table,
 };
 pub use scoreboard::Scoreboard;
 pub use space::{TussleSpace, TussleSpaceKind};

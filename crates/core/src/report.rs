@@ -491,132 +491,6 @@ impl ChaosReport {
     }
 }
 
-/// One cell of the crash-injection recovery grid: an experiment crashed at
-/// a seeded random engine-event index, restored from its latest
-/// checkpoint, and compared byte-for-byte against the uninterrupted golden
-/// run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryCell {
-    /// Experiment id (e.g. `"E9"`).
-    pub id: String,
-    /// The run's seed.
-    pub seed: u64,
-    /// Kill-point index within the cell's sweep (0-based).
-    pub kill_point: u64,
-    /// Engine-event cursor the injected crash fired at (`None` when the
-    /// golden run scheduled no engine events, so there was nothing to
-    /// crash — impossible for registry experiments, which all drive the
-    /// engine, but synthetic entries may be event-free).
-    pub kill_at: Option<u64>,
-    /// Engine events the uninterrupted golden run processed.
-    pub golden_events: u64,
-    /// Snapshots the crashed run captured before dying.
-    pub checkpoints: u64,
-    /// Cursor of the checkpoint the resume verified against (0 = genesis:
-    /// the crash landed before the first checkpoint).
-    pub resumed_from: u64,
-    /// Did the injected crash actually fire?
-    pub crashed: bool,
-    /// Did the resumed run reach the checkpoint byte-exactly (rng position,
-    /// queue shape, trace digest, substrate digests all equal)?
-    pub verified: bool,
-    /// Is the resumed run's final report — cost digest, rng draw count and
-    /// forwards included — equal to the golden's?
-    pub identical: bool,
-    /// First divergence or failure detail, empty when the cell recovered.
-    pub detail: String,
-}
-
-impl RecoveryCell {
-    /// Did this cell fully recover: crash fired (or was legitimately
-    /// impossible), restore verified, and the stitched run matched the
-    /// golden byte-for-byte?
-    pub fn recovered(&self) -> bool {
-        self.verified && self.identical && (self.crashed || self.kill_at.is_none())
-    }
-}
-
-/// Result of the crash-injection recovery campaign: every selected
-/// experiment killed at seeded random event indices across seeds, restored
-/// from its latest checkpoint, and held to byte-exact equality with the
-/// uninterrupted golden run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryReport {
-    /// First seed of the contiguous swept range.
-    pub base_seed: u64,
-    /// Seeds per experiment (`base_seed..base_seed + seeds`).
-    pub seeds: u64,
-    /// Kill points per `(experiment, seed)` pair.
-    pub kill_points: u64,
-    /// Checkpoint interval (events) the crashed runs captured under.
-    pub every: u64,
-    /// Every grid cell, in `(experiment, seed, kill point)` order.
-    pub cells: Vec<RecoveryCell>,
-}
-
-impl RecoveryReport {
-    /// Did every cell recover?
-    pub fn all_recovered(&self) -> bool {
-        self.cells.iter().all(RecoveryCell::recovered)
-    }
-
-    /// Cells that failed to recover.
-    pub fn failures(&self) -> impl Iterator<Item = &RecoveryCell> {
-        self.cells.iter().filter(|c| !c.recovered())
-    }
-
-    /// Render as GitHub-flavoured markdown: one row per cell, failures
-    /// called out below the table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!(
-            "# Recovery campaign — {} cells × checkpoint every {} events \
-             ({} seeds from {}, {} kill points)\n\n\
-             | experiment | seed | kill | golden events | checkpoints | resumed from | verified | identical |\n\
-             |---|---|---|---|---|---|---|---|\n",
-            self.cells.len(),
-            self.every,
-            self.seeds,
-            self.base_seed,
-            self.kill_points,
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
-                c.id,
-                c.seed,
-                c.kill_at.map_or("—".to_owned(), |k| k.to_string()),
-                c.golden_events,
-                c.checkpoints,
-                c.resumed_from,
-                if c.verified { "yes" } else { "NO" },
-                if c.identical { "yes" } else { "NO" },
-            ));
-        }
-        let failures: Vec<&RecoveryCell> = self.failures().collect();
-        if failures.is_empty() {
-            out.push_str("\nEvery crash-injected run restored to a byte-identical finish.\n");
-        } else {
-            out.push_str(&format!("\n{} cell(s) failed to recover:\n\n", failures.len()));
-            for c in failures {
-                out.push_str(&format!(
-                    "- {} seed {} kill point {}: {}\n",
-                    c.id,
-                    c.seed,
-                    c.kill_point,
-                    if c.detail.is_empty() { "(no detail)" } else { &c.detail },
-                ));
-            }
-        }
-        out
-    }
-
-    /// Serialize to JSON. Output is byte-identical for identical campaign
-    /// results, independent of how workers were scheduled.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("recovery reports serialize")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -822,66 +696,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    fn recovery_cell(
-        id: &str,
-        kill_at: Option<u64>,
-        verified: bool,
-        identical: bool,
-    ) -> RecoveryCell {
-        RecoveryCell {
-            id: id.into(),
-            seed: 1,
-            kill_point: 0,
-            kill_at,
-            golden_events: 100,
-            checkpoints: 2,
-            resumed_from: 40,
-            crashed: kill_at.is_some(),
-            verified,
-            identical,
-            detail: if verified {
-                String::new()
-            } else {
-                "restore diverged at rng_word_pos".into()
-            },
-        }
-    }
-
-    #[test]
-    fn recovery_report_markdown_and_json_roundtrip() {
-        let good = RecoveryReport {
-            base_seed: 1,
-            seeds: 1,
-            kill_points: 1,
-            every: 50,
-            cells: vec![
-                recovery_cell("E1", Some(73), true, true),
-                recovery_cell("EX", None, true, true), // event-free synthetic: nothing to crash
-            ],
-        };
-        assert!(good.all_recovered());
-        assert_eq!(good.failures().count(), 0);
-        let md = good.to_markdown();
-        assert!(md.contains("| E1 | 1 | 73 | 100 | 2 | 40 | yes | yes |"));
-        assert!(md.contains("| EX | 1 | — |"));
-        assert!(md.contains("byte-identical finish"));
-        let back: RecoveryReport = serde_json::from_str(&good.to_json()).unwrap();
-        assert_eq!(back, good);
-
-        let bad = RecoveryReport {
-            cells: vec![recovery_cell("E9", Some(5), false, false)],
-            ..good.clone()
-        };
-        assert!(!bad.all_recovered());
-        let md = bad.to_markdown();
-        assert!(md.contains("1 cell(s) failed to recover"));
-        assert!(md.contains("E9 seed 1 kill point 0: restore diverged at rng_word_pos"));
-        // A crash that never fired despite a chosen kill point is a failure
-        // even if the reports happen to agree.
-        let dud = RecoveryCell { crashed: false, ..recovery_cell("E2", Some(9), true, true) };
-        assert!(!dud.recovered());
     }
 
     #[test]

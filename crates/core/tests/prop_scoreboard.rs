@@ -1,4 +1,4 @@
-//! Property tests for the tussle scoreboard (DESIGN.md §10): the fold from
+//! Property tests for the tussle scoreboard (DESIGN.md §9): the fold from
 //! an observed run conserves the trace-entry count, campaign merging is
 //! commutative and associative with lane-wise conservation, and the
 //! winner verdict respects the ranking contract.

@@ -1,11 +1,11 @@
 //! Coverage-guided tussle-space fuzzer with cross-layer invariant oracles.
 //!
 //! Every other correctness harness in this repo — goldens, the
-//! determinism matrix, the recovery oracle, the fast-path equivalence
-//! property — checks hand-written scenarios one subsystem at a time. The
-//! paper's claim, though, is that tussles play out in the *interactions*:
-//! routing meets pricing meets policy meets middleboxes. This module
-//! explores that composed space mechanically:
+//! determinism matrix, the fast-path equivalence property — checks
+//! hand-written scenarios one subsystem at a time. The paper's claim,
+//! though, is that tussles play out in the *interactions*: routing meets
+//! pricing meets policy meets middleboxes. This module explores that
+//! composed space mechanically:
 //!
 //! * a seeded **scenario generator** composes a random topology
 //!   ([`tussle_net::Network::scale_topology`]), a traffic matrix, a
@@ -14,8 +14,8 @@
 //!   [`Scenario`];
 //! * a registry of **invariant oracles** ([`ORACLES`]) checks every run:
 //!   packet conservation, money conservation, route validity of traversed
-//!   paths, plus sampled rerun-determinism, route-cache equivalence and
-//!   checkpoint/crash/resume equivalence;
+//!   paths, NAT/tunnel round trips and policy evaluation, plus sampled
+//!   rerun-determinism and route-cache equivalence;
 //! * a **coverage map** of `(topic, depth)` cells harvested from the
 //!   Profile-mode observation record steers the mutation loop toward
 //!   scenarios that light up new cells;
@@ -48,9 +48,9 @@ use tussle_sim::{obs, Engine, FaultPlan, Fnv1a, RunBudget, RunDigest, SimRng, Si
 
 /// The invariant-oracle registry: `(id, what a pass guarantees)`.
 ///
-/// The first three run on **every** scenario; the last three are expensive
-/// (they re-execute the scenario) and run on a seeded sample. All six are
-/// active in any campaign whose budget covers the sampling stride.
+/// The first five run on **every** scenario; the last two are expensive
+/// (they re-execute the scenario) and run on a seeded sample. All seven
+/// are active in any campaign whose budget covers the sampling strides.
 pub const ORACLES: &[(&str, &str)] = &[
     (
         "packet-conservation",
@@ -65,7 +65,6 @@ pub const ORACLES: &[(&str, &str)] = &[
     ("policy-eval", "generated policy snippets parse and evaluate deterministically"),
     ("rerun-determinism", "re-running a scenario reproduces its digest byte-for-byte"),
     ("cache-equivalence", "route cache on/off runs are digest-identical"),
-    ("checkpoint-resume", "crash at an event boundary + restore equals the uninterrupted run"),
 ];
 
 /// Hard ceiling on engine events per scenario run — a runaway-scenario
@@ -76,7 +75,6 @@ const MAX_EVENTS: u64 = 250_000;
 /// in-chain iteration index so every chain exercises each of them.
 const RERUN_STRIDE: u64 = 5;
 const CACHE_STRIDE: u64 = 7;
-const CHECKPOINT_STRIDE: u64 = 9;
 
 // ---------------------------------------------------------------------------
 // Scenario model
@@ -1093,31 +1091,11 @@ pub fn check_cache_equivalence(s: &Scenario) -> Option<Violation> {
     cache_equivalence(s, engine_digest(s, true))
 }
 
-/// Crash the engine run at an event boundary, restore from the checkpoint
-/// and finish; the resumed digest must equal the uninterrupted one
-/// (`checkpoint-resume`).
+/// A resume is a replay from genesis, so this is
+/// [`check_rerun_determinism`]. Its only caller is perfbench's fuzz
+/// replay; benchmark v2 (ROADMAP item 2) drops that call and this alias.
 pub fn check_checkpoint_resume(s: &Scenario) -> Option<Violation> {
-    const CUT: u64 = 40;
-    let mut golden = build_world(s, true).engine;
-    golden.run(CUT);
-    let snapshot = golden.checkpoint();
-    let mut resumed = build_world(s, true).engine;
-    resumed.run(CUT);
-    if let Err(e) = resumed.restore(&snapshot) {
-        return Some(Violation::new(
-            "checkpoint-resume",
-            format!("restore at event {CUT} rejected: {e:?}"),
-        ));
-    }
-    golden.run_budgeted(&RunBudget::events(MAX_EVENTS));
-    resumed.run_budgeted(&RunBudget::events(MAX_EVENTS));
-    let (g, r) = (golden.digest().to_hex(), resumed.digest().to_hex());
-    (g != r).then(|| {
-        Violation::new(
-            "checkpoint-resume",
-            format!("resumed digest {r} != uninterrupted {g} (cut at event {CUT})"),
-        )
-    })
+    check_rerun_determinism(s)
 }
 
 /// Re-check one oracle on a (possibly shrunk) scenario. This is the check
@@ -1127,7 +1105,6 @@ pub fn check_oracle(s: &Scenario, oracle: &str) -> Option<Violation> {
     match oracle {
         "rerun-determinism" => check_rerun_determinism(s),
         "cache-equivalence" => check_cache_equivalence(s),
-        "checkpoint-resume" => check_checkpoint_resume(s),
         _ => run_scenario(s).violations.into_iter().find(|v| v.oracle == oracle),
     }
 }
@@ -1430,10 +1407,6 @@ fn run_chain(chain_seed: u64, budget: u64) -> ChainResult {
             *checks.entry("cache-equivalence".into()).or_insert(0) += 1;
             violations.extend(cache_equivalence(&scenario, outcome.engine_digest));
         }
-        if i % CHECKPOINT_STRIDE == 3 {
-            *checks.entry("checkpoint-resume".into()).or_insert(0) += 1;
-            violations.extend(check_checkpoint_resume(&scenario));
-        }
 
         // Dedup per oracle: one finding per (oracle, iteration).
         let mut seen_oracles = BTreeSet::new();
@@ -1644,7 +1617,6 @@ mod tests {
         assert!(outcome.delivered > 0);
         assert_eq!(check_rerun_determinism(&s), None);
         assert_eq!(check_cache_equivalence(&s), None);
-        assert_eq!(check_checkpoint_resume(&s), None);
     }
 
     #[test]

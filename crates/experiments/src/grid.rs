@@ -1,6 +1,6 @@
 //! The job grid: the one place this workspace spawns worker threads.
 //!
-//! Every parallel runner (the sweep, chaos, recovery and fuzz campaigns,
+//! Every parallel runner (the sweep, chaos and fuzz campaigns,
 //! the export records, `diff`'s two sides and [`crate::run_all_parallel`])
 //! builds a job list, maps it through [`par_map`] and reduces the results
 //! in job order. Workers steal job indices from a shared atomic counter,

@@ -51,7 +51,6 @@ pub mod e16_multicast;
 pub mod e17_uncooperative;
 pub mod fuzz;
 pub mod grid;
-pub mod recovery;
 pub mod scale;
 pub mod sweep;
 
@@ -59,10 +58,6 @@ pub use causality::{diff, explain, CausalityError, DiffConfig, DiffReport, Expla
 pub use chaos::{run_chaos, run_chaos_entries, ChaosConfig, ChaosError};
 pub use fuzz::{
     run_fuzz, CorpusEntry, Element, FuzzConfig, FuzzError, FuzzReport, Scenario, ORACLES,
-};
-pub use recovery::{
-    resume_from_snapshot, run_recovery, run_recovery_entries, RecoveryConfig, RecoveryError,
-    ResumeOutcome,
 };
 pub use scale::{Routing, ScaleOutcome, ScaleWorkload};
 pub use sweep::{run_sweep, SweepConfig, SweepError};

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::OnceLock;
-use tussle_sim::{FaultOutcome, Fnv1a, RunDigest, SimRng, SimTime, Snapshottable};
+use tussle_sim::{FaultOutcome, Fnv1a, RunDigest, SimRng, SimTime};
 
 /// Why a packet did not arrive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -252,18 +252,6 @@ impl Network {
 
     fn bump_generation(&mut self) {
         self.generation = self.generation.wrapping_add(1);
-    }
-
-    /// Drop all derived routing state: bump the topology generation and
-    /// clear the next-hop memo. This is the checkpoint-restore boundary
-    /// (see [`Snapshottable::post_restore`]): nothing memoized before a
-    /// crash may be served after the resume, and the generation stamp
-    /// makes that self-enforcing even for cached state held elsewhere.
-    pub fn invalidate_routes(&mut self) {
-        self.bump_generation();
-        let mut cache = self.route_cache.borrow_mut();
-        cache.next_hop.clear();
-        cache.generation = self.generation;
     }
 
     /// Add a host in `asn`; returns its id.
@@ -856,23 +844,16 @@ impl Network {
             path.push(current);
         }
     }
-}
-
-impl Snapshottable for Network {
-    fn component(&self) -> &'static str {
-        "network"
-    }
 
     /// Digest of the network's logical state: nodes, links (including
     /// accrued queue and fault-injector state), FIBs, middleboxes, crash
     /// records and the hop budget — everything forwarding consults. Three
     /// things are deliberately absent: the topology `generation` and the
-    /// route memo are rebuilt at the restore boundary (see
-    /// [`Snapshottable::post_restore`]), and the adjacency/endpoint-pair
+    /// route memo are derived bookkeeping, and the adjacency/endpoint-pair
     /// indexes are pure functions of the links. Including any of them
     /// would make cache warmth observable, breaking the DESIGN.md §7
-    /// invariant the recovery oracle leans on.
-    fn state_digest(&self) -> RunDigest {
+    /// invariant.
+    pub fn state_digest(&self) -> RunDigest {
         let mut h = Fnv1a::new();
         h.write_u8(0xD0);
         h.write_str(&serde_json::to_string(&self.nodes).expect("nodes serialize"));
@@ -903,10 +884,6 @@ impl Snapshottable for Network {
         }
         h.write_u64(self.max_hops as u64);
         RunDigest(h.finish())
-    }
-
-    fn post_restore(&mut self) {
-        self.invalidate_routes();
     }
 }
 
@@ -1241,7 +1218,9 @@ mod tests {
         // Warming the route memo and bumping the generation are invisible:
         // both are derived bookkeeping, not logical state.
         assert!(net.next_hop_toward(h0, h3).is_some());
-        net.invalidate_routes();
+        let (gen, first) = (net.generation(), net.links()[0].id);
+        net.link_mut(first);
+        assert!(net.generation() > gen);
         assert_eq!(net.state_digest(), d0);
         // A link flap is real state — and flapping back restores the
         // digest exactly (the queue was empty, so the reset is a no-op).
@@ -1256,51 +1235,6 @@ mod tests {
         assert_ne!(d_fib, d0);
         net.set_firewall(r2, Firewall::port_allowlist(vec![ports::SMTP], "mb"));
         assert_ne!(net.state_digest(), d_fib);
-    }
-
-    #[test]
-    fn restore_mid_flap_invalidates_the_route_memo() {
-        // diamond a-b-d / a-c-d with a scripted flap of a-b; the Network
-        // itself is the engine world, checkpointed while the link is down.
-        fn build() -> (tussle_sim::Engine<Network>, [NodeId; 4]) {
-            let mut net = Network::new();
-            let a = net.add_router(Asn(1));
-            let b = net.add_router(Asn(1));
-            let c = net.add_router(Asn(1));
-            let d = net.add_router(Asn(1));
-            let ab = net.connect(a, b, SimTime::from_millis(1), 1_000_000);
-            net.connect(a, c, SimTime::from_millis(1), 1_000_000);
-            net.connect(b, d, SimTime::from_millis(1), 1_000_000);
-            net.connect(c, d, SimTime::from_millis(1), 1_000_000);
-            let mut eng = tussle_sim::Engine::new(net, 9);
-            eng.schedule_at(SimTime::from_millis(10), move |n: &mut Network, _| {
-                n.set_link_up(ab, false);
-            });
-            eng.schedule_at(SimTime::from_millis(30), move |n: &mut Network, _| {
-                n.set_link_up(ab, true);
-            });
-            (eng, [a, b, c, d])
-        }
-
-        let (mut golden, [a, b, c, d]) = build();
-        golden.run(1); // the flap-down fires
-        assert_eq!(golden.world.next_hop_toward(a, d), Some(c), "detour while down");
-        let snap = golden.checkpoint();
-
-        // Replay a fresh engine to the same frontier and restore into it —
-        // with its own memo warmed, which a crashed process's successor
-        // never would be, to prove the boundary invalidates regardless.
-        let (mut resumed, _) = build();
-        resumed.run(1);
-        assert_eq!(resumed.world.next_hop_toward(a, d), Some(c));
-        let gen = resumed.world.generation();
-        resumed.restore(&snap).expect("replay reaches the same frontier");
-        assert!(resumed.world.generation() > gen, "restore must bump the generation");
-        assert_eq!(resumed.world.next_hop_toward(a, d), Some(c), "still mid-flap: no stale b");
-        resumed.run(1); // the flap-up fires
-        assert_eq!(resumed.world.next_hop_toward(a, d), Some(b), "route recovers with the link");
-        golden.run(1);
-        assert_eq!(resumed.world.state_digest(), golden.world.state_digest());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::network::Network;
 use crate::node::NodeId;
 use crate::packet::Packet;
-use tussle_sim::{ComponentState, Ctx, Engine, RunDigest, SimTime, Snapshottable};
+use tussle_sim::{Ctx, Engine, SimTime};
 
 /// Retry-with-backoff policy for transient drops.
 ///
@@ -113,32 +113,12 @@ pub struct TrafficWorld {
     pub network: Network,
 }
 
-impl Snapshottable for TrafficWorld {
-    fn component(&self) -> &'static str {
-        "traffic"
-    }
-
-    /// Flow progress lives in scheduled closures, which the engine's
-    /// queue-shape digest already pins; the world's own logical state is
-    /// exactly the network's.
-    fn state_digest(&self) -> RunDigest {
-        self.network.state_digest()
-    }
-
-    fn post_restore(&mut self) {
-        self.network.invalidate_routes();
-    }
-}
-
 /// Build an engine over `network` with every flow scheduled, ready to run.
 ///
-/// The engine comes checkpoint-wired: ambient snapshots capture the
-/// world's state digest, and ambient restore verification invalidates the
-/// network's route memo — resumed runs must re-derive every cached route.
+/// A run is a pure function of the network, the flows and the seed, so
+/// replaying the same three from genesis reproduces it exactly.
 pub fn build_engine(network: Network, flows: Vec<Flow>, seed: u64) -> Engine<TrafficWorld> {
     let mut engine = Engine::new(TrafficWorld { network }, seed);
-    engine.set_snapshot_probe(|w: &TrafficWorld| vec![ComponentState::of(w)]);
-    engine.set_restore_hook(|w: &mut TrafficWorld| w.post_restore());
     for flow in flows {
         let start = SimTime::from_micros(0);
         schedule_next(&mut engine, flow, start, 0);
@@ -474,32 +454,6 @@ mod tests {
         }
         assert_eq!(baseline(), 100, "guard restores clean behaviour");
         let _ = tussle_sim::fault::take_ambient_stats();
-    }
-
-    #[test]
-    fn traffic_world_checkpoints_and_restores_through_build_engine() {
-        let mk = || {
-            let (mut net, h0, pkt) = world();
-            let lid = net.links()[1].id;
-            net.link_mut(lid).faults = FaultInjector::lossy(0.2, 0.0);
-            let flow = Flow::periodic("ck", h0, pkt, SimTime::from_millis(10), 40)
-                .with_jitter(1_000)
-                .with_retries(RetryPolicy::backoff(3));
-            build_engine(net, vec![flow], 13)
-        };
-        let mut golden = mk();
-        golden.run(25);
-        let snap = golden.checkpoint();
-        let mut resumed = mk();
-        resumed.run(25);
-        resumed.restore(&snap).expect("replay frontier matches");
-        golden.run_to_completion();
-        resumed.run_to_completion();
-        assert_eq!(golden.digest(), resumed.digest(), "resumed run equals never-crashed");
-        assert_eq!(
-            golden.metrics().counter("flow.ck.delivered"),
-            resumed.metrics().counter("flow.ck.delivered")
-        );
     }
 
     #[test]

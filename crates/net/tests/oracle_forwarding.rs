@@ -16,7 +16,7 @@ use tussle_net::addr::{Address, Asn, Prefix};
 use tussle_net::packet::{ports, Packet, Protocol};
 use tussle_net::table::FibEntry;
 use tussle_net::{Fib, Link, LinkId, Network, NodeId};
-use tussle_sim::{SimRng, SimTime, Snapshottable};
+use tussle_sim::{SimRng, SimTime};
 
 /// The linearly scanned forwarding table, as it was.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]

@@ -110,37 +110,32 @@ proptest! {
     }
 
     /// Retry backoff jitter draws come from the run's own `SimRng` (never
-    /// ambient randomness), so a crash/resume run consumes *exactly* as
-    /// many rng draws as the uninterrupted golden — prefix and suffix
-    /// draw counts and the final stream position all pinned.
+    /// ambient randomness), so a run split at any event boundary draws
+    /// *exactly* what the uninterrupted run draws: prefix plus suffix draw
+    /// counts equal the whole run's, and digest and clock agree.
     #[test]
-    fn retry_jitter_draws_are_pinned_across_crash_and_resume(
+    fn retry_jitter_draws_are_pinned_across_a_split_run(
         seed in 0u64..512,
         cut in 1u64..48,
     ) {
-        let mut golden = retry_workload(seed);
-        let g1 = tussle_sim::obs::begin(tussle_sim::ObsMode::Cost);
-        golden.run(cut);
-        let prefix_draws = g1.finish().rng_draws;
-        let snap = golden.checkpoint();
-        let g2 = tussle_sim::obs::begin(tussle_sim::ObsMode::Cost);
-        golden.run_to_completion();
-        let suffix_draws = g2.finish().rng_draws;
+        let mut whole = retry_workload(seed);
+        let scope = tussle_sim::obs::begin(tussle_sim::ObsMode::Cost);
+        whole.run_to_completion();
+        let whole_draws = scope.finish().rng_draws;
 
-        // A successor process replays to the crash frontier, restores, and
-        // finishes the run: every draw count must match the golden's.
-        let mut resumed = retry_workload(seed);
-        let r1 = tussle_sim::obs::begin(tussle_sim::ObsMode::Cost);
-        resumed.run(cut);
-        prop_assert_eq!(r1.finish().rng_draws, prefix_draws);
-        resumed.restore(&snap).expect("replay frontier matches");
-        prop_assert_eq!(resumed.core_state().rng_word_pos, snap.engine.rng_word_pos);
-        let r2 = tussle_sim::obs::begin(tussle_sim::ObsMode::Cost);
-        resumed.run_to_completion();
-        prop_assert_eq!(r2.finish().rng_draws, suffix_draws);
+        let mut split = retry_workload(seed);
+        let scope = tussle_sim::obs::begin(tussle_sim::ObsMode::Cost);
+        split.run(cut);
+        let prefix_draws = scope.finish().rng_draws;
+        let scope = tussle_sim::obs::begin(tussle_sim::ObsMode::Cost);
+        split.run_to_completion();
+        let suffix_draws = scope.finish().rng_draws;
 
-        prop_assert_eq!(resumed.core_state(), golden.core_state());
-        let retried = golden.metrics().counter("flow.rt.retried");
+        prop_assert_eq!(prefix_draws + suffix_draws, whole_draws);
+        prop_assert_eq!(split.events_processed(), whole.events_processed());
+        prop_assert_eq!(split.digest(), whole.digest());
+        prop_assert_eq!(split.now(), whole.now());
+        let retried = whole.metrics().counter("flow.rt.retried");
         prop_assert!(retried > 0, "40% loss must force jittered retries");
     }
 

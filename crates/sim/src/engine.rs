@@ -8,8 +8,7 @@
 //! merged into the queue after the handler returns, preserving the total
 //! `(time, sequence)` order.
 
-use crate::checkpoint::{self, ComponentState, EngineState, RestoreError, Snapshot, SnapshotMeta};
-use crate::digest::{Fnv1a, RunDigest};
+use crate::digest::RunDigest;
 use crate::event::{EventFn, EventId, Scheduled};
 use crate::metrics::Metrics;
 use crate::obs;
@@ -210,19 +209,7 @@ pub struct Engine<W> {
     first_topic: String,
     stopped: bool,
     events_processed: u64,
-    /// Captures substrate component digests for ambient checkpoints, when
-    /// the world's constructor installed one (the traffic engine registers
-    /// its network and flow digests here).
-    world_probe: Option<WorldProbe<W>>,
-    /// Invalidation hook run when an ambient verify succeeds: the restore
-    /// boundary for worlds carrying derived caches.
-    restore_hook: Option<RestoreHook<W>>,
 }
-
-/// Component-digest capture installed with [`Engine::set_snapshot_probe`].
-type WorldProbe<W> = Box<dyn Fn(&W) -> Vec<ComponentState>>;
-/// Cache-invalidation hook installed with [`Engine::set_restore_hook`].
-type RestoreHook<W> = Box<dyn Fn(&mut W)>;
 
 impl<W> Engine<W> {
     /// New engine over `world`, seeded for reproducibility.
@@ -239,8 +226,6 @@ impl<W> Engine<W> {
             first_topic: String::new(),
             stopped: false,
             events_processed: 0,
-            world_probe: None,
-            restore_hook: None,
         }
     }
 
@@ -282,105 +267,6 @@ impl<W> Engine<W> {
     /// The run's random stream — for setup code that draws outside events.
     pub fn rng_mut(&mut self) -> &mut SimRng {
         &mut self.rng
-    }
-
-    /// The next scheduling sequence number (the total-order tiebreak
-    /// position a new event would receive).
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Digest of the queue's *shape*: every pending event's `(time, seq,
-    /// parent, span)`, sorted into dispatch order. The closures themselves
-    /// cannot be digested; their scheduling coordinates pin the replay — a
-    /// reconstruction that builds a different queue is caught here.
-    pub fn queue_digest(&self) -> String {
-        let mut shape: Vec<(u64, u64, u64, Option<&str>)> = self
-            .queue
-            .iter()
-            .map(|ev| {
-                (
-                    ev.time.as_micros(),
-                    ev.seq,
-                    ev.parent.map_or(u64::MAX, |p| p.0),
-                    ev.span.as_deref(),
-                )
-            })
-            .collect();
-        shape.sort_unstable_by_key(|&(time, seq, ..)| (time, seq));
-        let mut h = Fnv1a::new();
-        h.write_u64(shape.len() as u64);
-        for (time, seq, parent, span) in shape {
-            h.write_u64(time);
-            h.write_u64(seq);
-            h.write_u64(parent);
-            match span {
-                Some(s) => h.write_str(s),
-                None => h.write_u8(0),
-            }
-        }
-        RunDigest(h.finish()).to_hex()
-    }
-
-    /// The engine-side replay frontier: what checkpoints record and what
-    /// restore verifies. See [`crate::checkpoint`].
-    pub fn core_state(&self) -> EngineState {
-        EngineState {
-            now_micros: self.now.as_micros(),
-            next_seq: self.seq,
-            events_processed: self.events_processed,
-            queued: self.queue.len() as u64,
-            queue_digest: self.queue_digest(),
-            rng_seed: self.rng.seed().iter().map(|b| format!("{b:02x}")).collect(),
-            rng_word_pos: self.rng.word_pos(),
-            trace_entries: self.trace.len() as u64,
-            trace_dropped: self.trace.dropped(),
-            open_spans: self.trace.open_spans() as u64,
-            trace_digest: self.trace.digest().to_hex(),
-            run_digest: self.digest().to_hex(),
-        }
-    }
-
-    /// Install a probe that captures substrate component digests into
-    /// ambient checkpoints. World constructors (not experiment code) call
-    /// this so every checkpoint of the run carries the substrate state.
-    pub fn set_snapshot_probe(&mut self, probe: impl Fn(&W) -> Vec<ComponentState> + 'static) {
-        self.world_probe = Some(Box::new(probe));
-    }
-
-    /// Install the hook run when an ambient verify succeeds — the restore
-    /// boundary. Implementations must invalidate derived caches here (the
-    /// traffic engine bumps the network's topology generation) so nothing
-    /// cached before a crash can leak across it.
-    pub fn set_restore_hook(&mut self, hook: impl Fn(&mut W) + 'static) {
-        self.restore_hook = Some(Box::new(hook));
-    }
-
-    fn probe_components(&self) -> Vec<ComponentState> {
-        self.world_probe.as_ref().map_or_else(Vec::new, |probe| probe(&self.world))
-    }
-
-    /// Feed the ambient checkpoint scope after one dispatch: capture,
-    /// verify, or crash as the scope directs. Kept out of `step`'s happy
-    /// path — `checkpoint::active()` is a single byte-load when no scope
-    /// is open.
-    fn checkpoint_step(&mut self) {
-        let directive = checkpoint::on_event(self.now);
-        if directive.checkpoint {
-            checkpoint::record(self.core_state(), self.probe_components());
-        }
-        if directive.verify
-            && checkpoint::verify_frontier(self.core_state(), self.probe_components())
-        {
-            // A verified replay crosses the restore boundary: let the
-            // world invalidate its derived caches.
-            if let Some(hook) = &self.restore_hook {
-                hook(&mut self.world);
-            }
-        }
-        if directive.kill {
-            panic!("{}", checkpoint::kill_now());
-        }
     }
 
     /// Schedule `f` at absolute time `at` (clamped to `now`). Events
@@ -446,9 +332,6 @@ impl<W> Engine<W> {
         self.pending = pending;
         self.first_topic = first_topic;
         self.events_processed += 1;
-        if checkpoint::active() {
-            self.checkpoint_step();
-        }
         if stop {
             self.stopped = true;
         }
@@ -517,12 +400,6 @@ impl<W> Engine<W> {
             }
             self.step();
         };
-        // A budget-halted run must stay resumable: emit a final snapshot at
-        // the halt frontier unless one already covers it (the budget can
-        // expire exactly on a policy checkpoint event).
-        if !outcome.completed() && checkpoint::halt_checkpoint_due() {
-            checkpoint::record(self.core_state(), self.probe_components());
-        }
         RunReport { outcome, events: self.events_processed - before, ended_at: self.now }
     }
 
@@ -541,44 +418,6 @@ impl<W> Engine<W> {
     /// Consume the engine, returning the world and the metrics.
     pub fn into_parts(self) -> (W, Metrics, Trace) {
         (self.world, self.metrics, self.trace)
-    }
-}
-
-impl<W: checkpoint::Snapshottable> Engine<W> {
-    /// Capture a snapshot of this engine's current state, including the
-    /// world's component digest. Uses the engine-local event count as the
-    /// cursor; snapshots taken by an ambient scope policy use the
-    /// scope-global cursor instead.
-    pub fn checkpoint(&self) -> Snapshot {
-        Snapshot::sealed(
-            SnapshotMeta::default(),
-            self.events_processed,
-            self.core_state(),
-            vec![ComponentState::of(&self.world)],
-        )
-    }
-
-    /// Verify this engine against `snapshot` and cross the restore
-    /// boundary.
-    ///
-    /// Restore does not overwrite state — the queue's closures cannot be
-    /// deserialized, so the caller reconstructs the run deterministically
-    /// (same seed, same schedule) and `restore` proves the reconstruction
-    /// matches the snapshot field by field, returning the first
-    /// [`RestoreError::Divergence`] otherwise. On success it calls
-    /// [`checkpoint::Snapshottable::post_restore`] so the world drops
-    /// derived caches (the network bumps its topology generation, killing
-    /// the next-hop memo) — cached state never leaks across a crash
-    /// boundary.
-    pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), RestoreError> {
-        snapshot.validate()?;
-        checkpoint::engine_divergence(&snapshot.engine, &self.core_state())?;
-        checkpoint::components_divergence(
-            &snapshot.components,
-            &[ComponentState::of(&self.world)],
-        )?;
-        self.world.post_restore();
-        Ok(())
     }
 }
 
@@ -922,202 +761,6 @@ mod tests {
         // Outside dispatch, entries carry no stamp.
         eng.trace_mut().record(SimTime::from_millis(9), "t", "outside");
         assert_eq!(eng.trace().entries().last().unwrap().event, None);
-    }
-
-    impl checkpoint::Snapshottable for World {
-        fn component(&self) -> &'static str {
-            "world"
-        }
-        fn state_digest(&self) -> RunDigest {
-            let mut h = Fnv1a::new();
-            h.write_u64(self.log.len() as u64);
-            for v in &self.log {
-                h.write_u64(*v as u64);
-            }
-            RunDigest(h.finish())
-        }
-    }
-
-    /// A seeded workload with rng draws, traces and metrics: each chain
-    /// link rolls a delay and reschedules until the log holds 30 entries.
-    fn chain(w: &mut World, ctx: &mut Ctx<World>) {
-        let roll = ctx.rng.range(1..100u64);
-        w.log.push(roll as u32);
-        ctx.trace("unit.chain", format!("roll {roll}"));
-        ctx.metrics.incr("chain.links");
-        if w.log.len() < 30 {
-            ctx.schedule_in(SimTime::from_micros(roll), chain);
-        }
-    }
-
-    fn chain_engine() -> Engine<World> {
-        let mut eng = Engine::new(World::default(), 7);
-        for _ in 0..4 {
-            eng.schedule_at(SimTime::ZERO, chain);
-        }
-        eng
-    }
-
-    #[test]
-    fn checkpoint_restore_verifies_an_exact_replay() {
-        let mut original = chain_engine();
-        original.run(20);
-        let snap = original.checkpoint();
-        assert_eq!(snap.cursor, 20);
-        assert_eq!(snap.components[0].name, "world");
-        assert!(snap.validate().is_ok());
-
-        // The same construction replayed to the same point restores.
-        let mut replay = chain_engine();
-        replay.run(20);
-        replay.restore(&snap).expect("an exact replay must verify");
-        // And continues identically to the end.
-        original.run_to_completion();
-        replay.run_to_completion();
-        assert_eq!(replay.digest(), original.digest());
-        assert_eq!(replay.world.log, original.world.log);
-    }
-
-    #[test]
-    fn restore_rejects_a_diverged_replay_with_the_field_name() {
-        let mut original = chain_engine();
-        original.run(20);
-        let snap = original.checkpoint();
-
-        // Same construction, one event short: caught by name.
-        let mut short = chain_engine();
-        short.run(19);
-        match short.restore(&snap) {
-            Err(RestoreError::Divergence { field, .. }) => assert_eq!(field, "now_micros"),
-            other => panic!("expected a divergence, got {other:?}"),
-        }
-
-        // A different seed diverges before any field beyond the clock is
-        // even reached — whatever field reports first, it must not verify.
-        let mut other_seed = Engine::new(World::default(), 8);
-        for _ in 0..4 {
-            other_seed.schedule_at(SimTime::ZERO, chain);
-        }
-        other_seed.run(20);
-        assert!(other_seed.restore(&snap).is_err());
-    }
-
-    #[test]
-    fn scope_crash_and_resume_reproduces_the_run() {
-        // Golden: uninterrupted.
-        let mut golden = chain_engine();
-        golden.run_to_completion();
-
-        // Crash run: checkpoint every 5 events, injected crash at event 13.
-        let guard = checkpoint::begin(
-            crate::checkpoint::CheckpointConfig::new(
-                crate::checkpoint::CheckpointPolicy::every_n_events(5),
-            )
-            .kill_at(13)
-            .meta("unit", 7),
-        );
-        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut eng = chain_engine();
-            eng.run_to_completion();
-        }));
-        let crash_rec = guard.finish();
-        assert!(crashed.is_err(), "the injected crash must fire");
-        assert_eq!(crash_rec.killed_at, Some(13));
-        assert_eq!(crash_rec.cursor, 13);
-        let latest = crash_rec.snapshots.last().cloned().expect("snapshots before the crash");
-        assert_eq!(latest.cursor, 10, "latest checkpoint before event 13");
-
-        // Resume: replay with verification at the snapshot's cursor.
-        let guard = checkpoint::begin(
-            crate::checkpoint::CheckpointConfig::new(crate::checkpoint::CheckpointPolicy::manual())
-                .verify(latest),
-        );
-        let mut resumed = chain_engine();
-        resumed.run_to_completion();
-        let resume_rec = guard.finish();
-        assert_eq!(resume_rec.verified_at, Some(10));
-        assert!(resume_rec.divergence.is_none(), "{:?}", resume_rec.divergence);
-        assert_eq!(resumed.digest(), golden.digest());
-        assert_eq!(resumed.world.log, golden.world.log);
-        assert_eq!(resumed.core_state(), golden.core_state());
-    }
-
-    #[test]
-    fn budget_halt_emits_final_checkpoint_without_duplicating_a_boundary() {
-        // Budget expires exactly on a checkpoint event: the policy snapshot
-        // at event 10 already covers the halt frontier, so exactly one
-        // snapshot exists at cursor 10.
-        let guard = checkpoint::begin(crate::checkpoint::CheckpointConfig::new(
-            crate::checkpoint::CheckpointPolicy::every_n_events(10),
-        ));
-        let mut eng = Engine::new(World::default(), 1);
-        eng.schedule_at(SimTime::ZERO, runaway);
-        let report = eng.run_budgeted(&RunBudget::events(10));
-        assert_eq!(report.outcome, RunOutcome::EventBudgetExhausted);
-        let rec = guard.finish();
-        assert_eq!(
-            rec.snapshots.iter().map(|s| s.cursor).collect::<Vec<_>>(),
-            vec![10],
-            "boundary halt must not duplicate the policy snapshot"
-        );
-
-        // Budget expires off-boundary: the halt itself is checkpointed so
-        // the halted storm stays resumable.
-        let guard = checkpoint::begin(crate::checkpoint::CheckpointConfig::new(
-            crate::checkpoint::CheckpointPolicy::every_n_events(10),
-        ));
-        let mut eng = Engine::new(World::default(), 1);
-        eng.schedule_at(SimTime::ZERO, runaway);
-        let report = eng.run_budgeted(&RunBudget::events(13));
-        assert_eq!(report.outcome, RunOutcome::EventBudgetExhausted);
-        let rec = guard.finish();
-        assert_eq!(
-            rec.snapshots.iter().map(|s| s.cursor).collect::<Vec<_>>(),
-            vec![10, 13],
-            "an off-boundary halt emits a final snapshot at the frontier"
-        );
-
-        // A time-budget halt is checkpointed the same way.
-        let guard = checkpoint::begin(crate::checkpoint::CheckpointConfig::new(
-            crate::checkpoint::CheckpointPolicy::every_n_events(100),
-        ));
-        let mut eng = Engine::new(World::default(), 1);
-        eng.schedule_at(SimTime::ZERO, runaway);
-        let report = eng.run_budgeted(&RunBudget::until(SimTime::from_millis(5)));
-        assert_eq!(report.outcome, RunOutcome::TimeBudgetExhausted);
-        let rec = guard.finish();
-        assert_eq!(rec.snapshots.len(), 1, "halt snapshot despite no policy boundary");
-        assert_eq!(rec.snapshots[0].cursor, rec.cursor);
-
-        // A run that completes naturally emits no halt snapshot.
-        let guard = checkpoint::begin(crate::checkpoint::CheckpointConfig::new(
-            crate::checkpoint::CheckpointPolicy::every_n_events(100),
-        ));
-        let mut eng = Engine::new(World::default(), 1);
-        eng.schedule_at(SimTime::from_millis(1), |w: &mut World, _| w.log.push(1));
-        let report = eng.run_budgeted(&RunBudget::unlimited());
-        assert_eq!(report.outcome, RunOutcome::Drained);
-        let rec = guard.finish();
-        assert!(rec.snapshots.is_empty(), "drained runs need no halt snapshot");
-    }
-
-    #[test]
-    fn injected_crash_panics_at_the_chosen_event() {
-        let guard = checkpoint::begin(
-            crate::checkpoint::CheckpointConfig::new(crate::checkpoint::CheckpointPolicy::manual())
-                .kill_at(3),
-        );
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut eng = Engine::new(World::default(), 1);
-            eng.schedule_at(SimTime::ZERO, runaway);
-            eng.run(100);
-        }));
-        let rec = guard.finish();
-        let payload = result.expect_err("the kill must panic");
-        let msg = payload.downcast_ref::<String>().expect("string panic payload");
-        assert!(msg.contains("injected crash at event 3"), "{msg}");
-        assert_eq!(rec.killed_at, Some(3));
-        assert_eq!(rec.cursor, 3, "no events run past the crash");
     }
 
     #[test]

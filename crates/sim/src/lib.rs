@@ -36,13 +36,14 @@
 //! * [`export`] — deterministic Chrome/Perfetto trace-event JSON,
 //!   Prometheus text exposition and JSONL renderers over a run record,
 //!   with one pseudo-pid per stakeholder so trace lanes are the tussle.
-//! * [`checkpoint`] — versioned snapshots of a run's replay frontier with
-//!   policy-driven capture, atomic persistence, crash injection, and
-//!   byte-exact restore verification ("resume equals never-crashed").
 //!
 //! No async runtime is used: the workload is CPU-bound simulation, and the
 //! engine is single-threaded by design (parallelism, where used, is across
 //! independent experiment runs, not within one).
+//!
+//! There is no checkpoint/restore. A run is a pure function of its seed
+//! and schedule, and the whole registry dispatches a few hundred events,
+//! so resuming a run means replaying it from genesis.
 //!
 //! ## Example
 //!
@@ -63,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod digest;
 pub mod engine;
 pub mod event;
@@ -79,11 +79,6 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use checkpoint::{
-    CheckpointConfig, CheckpointGuard, CheckpointPolicy, CheckpointRecord, CheckpointSink,
-    ComponentState, EngineState, Manifest, ManifestEntry, RestoreError, Snapshot, SnapshotMeta,
-    Snapshottable, SNAPSHOT_VERSION,
-};
 pub use digest::{Fnv1a, RunDigest};
 pub use engine::{Ctx, Engine, RunBudget, RunOutcome, RunReport};
 pub use event::{EventFn, EventId};

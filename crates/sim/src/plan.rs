@@ -9,8 +9,6 @@
 //! from a seed and applied through the deterministic engine, the same
 //! `(plan, seed)` pair always yields the same outcome sequence.
 
-use crate::checkpoint::Snapshottable;
-use crate::digest::{Fnv1a, RunDigest};
 use crate::fault::FaultInjector;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -138,22 +136,6 @@ impl FaultPlan {
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-}
-
-impl Snapshottable for FaultPlan {
-    fn component(&self) -> &'static str {
-        "fault-plan"
-    }
-
-    /// A plan is pure data, so its digest is just its serialized events.
-    /// Firing progress is not recorded here: applied actions are engine
-    /// events, so the replay frontier already pins how far the plan got.
-    fn state_digest(&self) -> RunDigest {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.events.len() as u64);
-        h.write_str(&serde_json::to_string(&self.events).expect("fault events serialize"));
-        RunDigest(h.finish())
     }
 }
 

@@ -40,27 +40,6 @@ impl SimRng {
         SimRng::seed_from_u64(h)
     }
 
-    /// The raw 32-byte seed of the underlying stream. With
-    /// [`SimRng::word_pos`] this pins the generator's exact state — what
-    /// checkpoints record instead of the (unserializable) buffer.
-    pub fn seed(&self) -> [u8; 32] {
-        self.inner.get_seed()
-    }
-
-    /// 32-bit words consumed from the stream so far. Deterministic for a
-    /// given seed and draw sequence; the checkpoint/restore position.
-    pub fn word_pos(&self) -> u64 {
-        self.inner.word_pos()
-    }
-
-    /// Reposition the stream to an absolute consumed-word count. Seeking
-    /// is O(1) and exact: the remaining stream is bit-identical to a
-    /// generator that consumed `pos` words one by one. Not an observed
-    /// draw — restore must not perturb the run it reconstructs.
-    pub fn set_word_pos(&mut self, pos: u64) {
-        self.inner.set_word_pos(pos);
-    }
-
     /// Uniform sample from a range.
     pub fn range<T: SampleUniform, R: SampleRange<T>>(&mut self, range: R) -> T {
         obs::on_rng_draw();
@@ -217,37 +196,6 @@ mod tests {
         r.chance(0.5);
         let rec = g.finish();
         assert_eq!(rec.rng_draws, 3);
-    }
-
-    #[test]
-    fn word_pos_roundtrips_through_seed_and_position() {
-        let mut a = SimRng::seed_from_u64(21);
-        for _ in 0..7 {
-            a.unit();
-            a.range(0..1000u64);
-        }
-        let pos = a.word_pos();
-        assert!(pos > 0);
-        // A fresh stream from the same seed, seeked to the same position,
-        // continues identically.
-        let mut b = SimRng::seed_from_u64(21);
-        assert_eq!(b.seed(), a.seed());
-        b.set_word_pos(pos);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn set_word_pos_is_not_an_observed_draw() {
-        let g = crate::obs::begin(crate::obs::ObsMode::Cost);
-        let mut r = SimRng::seed_from_u64(4);
-        r.unit();
-        let pos = r.word_pos();
-        r.set_word_pos(pos);
-        let _ = r.seed();
-        let rec = g.finish();
-        assert_eq!(rec.rng_draws, 1, "position bookkeeping must not count as draws");
     }
 
     #[test]

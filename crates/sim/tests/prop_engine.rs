@@ -1,9 +1,61 @@
 //! Property tests for the discrete-event engine and its facilities.
 
 use proptest::prelude::*;
-use tussle_sim::{Engine, Histogram, SimRng, SimTime};
+use tussle_sim::{obs, Ctx, Engine, Histogram, ObsMode, SimRng, SimTime};
+
+/// The rolls a [`rolls`] workload has drawn, in dispatch order.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct Rolls(Vec<u64>);
+
+/// A self-rescheduling workload whose every event draws randomness,
+/// traces, and bumps a metric, on `chains` interleaved chains.
+fn rolls(seed: u64, chains: usize) -> Engine<Rolls> {
+    fn link(w: &mut Rolls, ctx: &mut Ctx<Rolls>) {
+        let roll = ctx.rng.range(1..64u64);
+        w.0.push(roll);
+        ctx.trace("prop.link", format!("roll {roll}"));
+        ctx.metrics.incr("prop.links");
+        if w.0.len() < 60 {
+            ctx.schedule_in(SimTime::from_micros(roll), link);
+        }
+    }
+    let mut eng = Engine::new(Rolls::default(), seed);
+    for _ in 0..chains {
+        eng.schedule_at(SimTime::ZERO, link);
+    }
+    eng
+}
 
 proptest! {
+    /// A run split at any event boundary — `run(cut)`, then
+    /// `run_to_completion()` — equals one uninterrupted run in digest,
+    /// world, clock, events processed and Cost-scope rng draws. Resuming a
+    /// run by replaying it from genesis rests on this.
+    #[test]
+    fn a_split_run_equals_one_uninterrupted_run(
+        seed in any::<u64>(),
+        chains in 1usize..4,
+        cut in 0u64..80,
+    ) {
+        let mut whole = rolls(seed, chains);
+        let scope = obs::begin(ObsMode::Cost);
+        whole.run_to_completion();
+        let whole_draws = scope.finish().rng_draws;
+
+        let mut split = rolls(seed, chains);
+        let scope = obs::begin(ObsMode::Cost);
+        let head = split.run(cut);
+        let tail = split.run_to_completion();
+        let split_draws = scope.finish().rng_draws;
+
+        prop_assert_eq!(head, cut.min(whole.events_processed()));
+        prop_assert_eq!(head + tail, whole.events_processed());
+        prop_assert_eq!(split.digest(), whole.digest());
+        prop_assert_eq!(&split.world, &whole.world);
+        prop_assert_eq!(split.now(), whole.now());
+        prop_assert_eq!(split_draws, whole_draws);
+    }
+
     /// Whatever order events are scheduled in, they execute in
     /// nondecreasing time order, with ties broken by scheduling order.
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests for the deterministic exporters (DESIGN.md §10): any
+//! Property tests for the deterministic exporters (DESIGN.md §9): any
 //! observed action stream renders to byte-identical Chrome trace JSON,
 //! Prometheus exposition and JSONL on replay, the Chrome event stream is
 //! structurally valid (balanced `B`/`E`, monotone virtual timestamps), and

@@ -1,6 +1,6 @@
 //! Replays every committed fuzz-corpus entry in `tests/corpus/`.
 //!
-//! The corpus is the fuzzer's long-term memory (see DESIGN.md §9): shrunk
+//! The corpus is the fuzzer's long-term memory (see DESIGN.md §8): shrunk
 //! violation repros, fixed-bug regression scenarios, and seeded near-miss
 //! scenarios all live here as stable-schema JSON. This suite keeps them
 //! honest on every CI run:

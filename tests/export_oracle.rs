@@ -1,4 +1,4 @@
-//! Equivalence oracle for the streaming exporters (DESIGN.md §10).
+//! Equivalence oracle for the streaming exporters (DESIGN.md §9).
 //!
 //! `to_chrome` and `to_jsonl` stream every event into one pre-sized
 //! buffer, read each entry in place from the record's `TraceLog`, and
