@@ -3,8 +3,9 @@
 //! Times the chaos campaign over a small intensity grid against the plain
 //! sweep covering the same `experiments × total runs`, and asserts the
 //! ambient-fault plumbing is close to free: an intensity-0-only campaign
-//! must stay within a small constant factor of the equivalent sweep (the
-//! thread-local intensity gate costs one load per hop, no rng draws).
+//! must stay within a small constant factor of the equivalent sweep (an
+//! intensity-0 cell runs the sweep's own harness, and the scope's
+//! intensity check costs one load per hop, no rng draws).
 //!
 //! ```sh
 //! cargo bench -p tussle-bench --bench chaos
@@ -61,11 +62,11 @@ fn bench_chaos(c: &mut Criterion) {
     g.finish();
 
     // Overhead assertion: an intensity-0 campaign performs exactly the
-    // sweep's work plus the ambient plumbing (guard set/restore per run,
-    // one thread-local read per hop) — each arm's best must stay within
-    // 40%. Warm both arms once, then alternate them round by round: a slow
-    // host phase then hits both arms instead of only the one timed during
-    // it.
+    // sweep's work (its cells run the sweep's harness, with the same
+    // per-hop intensity read) plus its own reduction — each arm's best
+    // must stay within 40%. Warm both arms once, then alternate them
+    // round by round: a slow host phase then hits both arms instead of
+    // only the one timed during it.
     let sweep = || {
         black_box(run_sweep(black_box(&sweep_config(4))).expect("sweep runs"));
     };

@@ -1453,6 +1453,63 @@ mod tests {
         assert_eq!(execute(chaos_cmd(true, 1)).unwrap(), execute(chaos_cmd(true, 4)).unwrap());
     }
 
+    /// Parse, execute and read back one command line's JSON output.
+    fn json_output(line: &str) -> (String, serde::Value) {
+        let out = execute(parse_args(&args(line)).unwrap()).unwrap();
+        let value = serde_json::from_str(&out).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+        (out, value)
+    }
+
+    fn get<'a>(value: &'a serde::Value, key: &str) -> &'a serde::Value {
+        value.field(key).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn items(value: &serde::Value) -> &[serde::Value] {
+        match value {
+            serde::Value::Seq(items) => items,
+            other => panic!("expected an array, found {}", other.kind()),
+        }
+    }
+
+    fn number(value: &serde::Value) -> f64 {
+        match *value {
+            serde::Value::U64(n) => n as f64,
+            serde::Value::I64(n) => n as f64,
+            serde::Value::F64(x) => x,
+            ref other => panic!("expected a number, found {}", other.kind()),
+        }
+    }
+
+    fn text(value: &serde::Value) -> &str {
+        match value {
+            serde::Value::Str(s) => s,
+            other => panic!("expected a string, found {}", other.kind()),
+        }
+    }
+
+    fn is_digest(value: &serde::Value) -> bool {
+        let s = text(value);
+        s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    }
+
+    #[test]
+    fn chaos_json_covers_the_full_registry() {
+        let (_, report) = json_output("chaos --seeds 2 --intensities 0,0.2 --json");
+        let experiments = items(get(&report, "experiments"));
+        assert_eq!(experiments.len(), 17);
+        let intensities: Vec<f64> = items(get(&report, "intensities")).iter().map(number).collect();
+        assert_eq!(intensities, [0.0, 0.2]);
+        assert_eq!(number(get(&report, "seeds")), 2.0);
+        for experiment in experiments {
+            get(experiment, "margin");
+            for cell in items(get(experiment, "intensities")) {
+                get(cell, "panics");
+                get(cell, "faults");
+                assert!(is_digest(get(get(cell, "sweep"), "digest")));
+            }
+        }
+    }
+
     #[test]
     fn chaos_unknown_experiment_errors() {
         let err = execute(Command::Chaos {
@@ -1739,6 +1796,27 @@ mod tests {
             assert_eq!(json_one, execute(diff_cmd(threads, true)).unwrap(), "threads={threads}");
         }
         assert!(json_one.contains("\"divergence\""), "{json_one}");
+
+        let line = "diff --only E9 --seed 2002 --seed-b 2003 --json";
+        let (json, report) = json_output(line);
+        for threads in [1, 2, 8] {
+            let (threaded, _) = json_output(&format!("{line} --threads {threads}"));
+            assert_eq!(json, threaded, "--threads {threads}");
+        }
+        assert_eq!(text(get(&report, "id")), "E9");
+        assert_eq!(number(get(&report, "seed_a")), 2002.0);
+        assert_eq!(number(get(&report, "seed_b")), 2003.0);
+        assert!(is_digest(get(&report, "digest_a")));
+        assert!(is_digest(get(&report, "digest_b")));
+        assert_eq!(get(&report, "identical"), &serde::Value::Bool(false));
+        let divergence = get(&report, "divergence");
+        assert!(number(get(divergence, "index")) >= 0.0);
+        assert!(number(get(divergence, "probes")) >= 1.0);
+        for side in ["a", "b"] {
+            for key in ["entry", "context", "ancestry"] {
+                get(get(divergence, side), key);
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use tussle_sim::fault;
-use tussle_sim::{EventId, ProvenanceNode, RunRecord};
+use tussle_sim::{obs, EventId, ProvenanceNode, RunRecord};
 
 /// Why a causal query could not be answered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,17 +80,11 @@ fn resolve(id: &str) -> Result<crate::ExperimentEntry, CausalityError> {
 }
 
 /// Replay one experiment under Profile observation at an ambient fault
-/// intensity, returning the full capture. The guard scopes the intensity
-/// to exactly this run and resets the fault tally, mirroring the chaos
-/// campaign's harness.
-fn run_side(entry: crate::ExperimentEntry, seed: u64, intensity: f64) -> RunRecord {
-    let (name, run) = entry;
-    let guard = fault::set_ambient_intensity(intensity);
-    let _ = fault::take_ambient_stats();
-    let (_, record) = crate::run_profiled(name, run, seed);
-    let _ = fault::take_ambient_stats();
-    drop(guard);
-    record
+/// intensity, through the chaos campaign's harness, returning the full
+/// capture.
+fn run_side((name, run): crate::ExperimentEntry, seed: u64, intensity: f64) -> RunRecord {
+    let settings = obs::Settings { intensity, ..obs::ObsMode::Profile.into() };
+    crate::run_scoped(name, run, seed, settings).1
 }
 
 /// One rung of a causal ancestry chain, oldest (root) first.
@@ -260,8 +253,8 @@ pub struct DiffConfig {
     pub intensity_b: f64,
     /// Worker-thread cap for the two sides; `None` uses available
     /// parallelism and `Some(1)` runs them in order on the calling thread.
-    /// The output is byte-identical either way — observation and ambient
-    /// intensity are thread-local.
+    /// The output is byte-identical either way — each side's observation
+    /// mode and ambient intensity live in its own scope.
     pub threads: Option<usize>,
 }
 

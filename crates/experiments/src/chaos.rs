@@ -3,10 +3,10 @@
 //! The seed sweep (see [`crate::sweep`]) asks "does the claim hold across
 //! seeds?"; the chaos campaign asks the robustness question on top: *how
 //! much infrastructure misbehaviour does each claim survive?* It fans the
-//! registry over an `experiments × intensities × seeds` grid. Each run is
-//! wrapped in a thread-local *ambient fault intensity*
-//! ([`tussle_sim::fault::set_ambient_intensity`]) that the network substrate
-//! consults per hop, so experiments need no chaos-specific plumbing — and
+//! registry over an `experiments × intensities × seeds` grid. Each run's
+//! observation scope carries its *ambient fault intensity*
+//! ([`tussle_sim::obs::Settings::intensity`]), which the network substrate
+//! draws on per hop, so experiments need no chaos-specific plumbing — and
 //! experiments that never touch the network show zero fault activity, which
 //! the report surfaces as a *vacuous* margin rather than hiding it.
 //!
@@ -14,26 +14,26 @@
 //!
 //! Same execution model as the sweep: the `(experiment, intensity, seed)`
 //! jobs run on the job grid ([`crate::grid`]), results come back in job
-//! order, and the reduction walks them in that fixed order. Ambient
-//! intensity and fault tallies are thread-local and scoped to one job by
-//! [`tussle_sim::fault::AmbientGuard`], so job placement cannot leak state
-//! between runs. The rendered [`ChaosReport`] is byte-identical across
-//! thread counts. At intensity 0 the ambient hook draws no randomness at
-//! all, so that column of the grid is byte-identical to a plain sweep.
+//! order, and the reduction walks them in that fixed order. A job's
+//! intensity and fault tally live in its own scope, which ends with the
+//! job, so job placement cannot leak state between runs. The rendered
+//! [`ChaosReport`] is byte-identical across thread counts. An intensity-0
+//! cell runs exactly the sweep's harness and draws no extra randomness, so
+//! that column of the grid is byte-identical to a plain sweep.
 //!
 //! ## Panic isolation
 //!
-//! Every run goes through [`crate::run_captured`]: a panicking experiment
-//! becomes a synthetic failing report (counted in
-//! [`IntensityStats::panics`]) and the campaign completes regardless.
+//! Every run goes through the harness behind [`crate::run_captured`]: a
+//! panicking experiment becomes a synthetic failing report (counted in
+//! [`IntensityStats::panics`]) that keeps its pre-panic fault tally, and
+//! the campaign completes regardless.
 
 use crate::grid::par_map;
 use crate::sweep::reduce_experiment;
 use crate::ExperimentEntry;
 use tussle_core::report::{ChaosReport, IntensityStats, MarginStats};
 use tussle_core::ExperimentReport;
-use tussle_sim::fault;
-use tussle_sim::FaultStats;
+use tussle_sim::{obs, FaultStats};
 
 /// What to subject to chaos.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,15 +133,9 @@ pub fn run_chaos_entries(
         .collect();
     let cells: Vec<ChaosCell> =
         par_map(&jobs, config.threads, |&((name, run), intensity, seed)| {
-            // Scope the ambient intensity to exactly this run and start its
-            // fault tally from zero; the guard restores the thread's previous
-            // (fault-free) state either way.
-            let guard = fault::set_ambient_intensity(intensity);
-            let _ = fault::take_ambient_stats();
-            let (report, panicked) = crate::run_isolated(name, run, seed);
-            let faults = fault::take_ambient_stats();
-            drop(guard);
-            (report, panicked, faults)
+            let settings = obs::Settings { intensity, ..obs::ObsMode::Cost.into() };
+            let (report, record, panicked) = crate::run_scoped(name, run, seed, settings);
+            (report, panicked, record.ambient_faults)
         });
 
     // Sequential reduction in fixed (experiment, intensity, seed) order;

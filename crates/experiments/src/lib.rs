@@ -157,28 +157,28 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one experiment with panic isolation: a panicking run becomes a
-/// synthetic failing [`ExperimentReport`] (see [`panic_report`]) instead of
-/// unwinding into the caller. The run executes inside a cost-mode
-/// observation scope, so the report carries its [`RunCost`] appendix
-/// (panicked runs carry none — their cost is not trustworthy). Returns the
-/// report plus whether it panicked.
-pub(crate) fn run_isolated(
+/// Run one experiment under an observation scope with `settings`, the one
+/// harness every runner shares. The panic is caught *inside* the scope: a
+/// panicking run becomes its [`panic_report`] (with no cost appendix —
+/// its cost is not trustworthy), and the record still holds what the
+/// scope saw before the panic, such as the chaos campaign's fault tally.
+/// Returns the report, the scope's [`RunRecord`] and whether it panicked.
+pub(crate) fn run_scoped(
     name: &str,
     run: fn(u64) -> ExperimentReport,
     seed: u64,
-) -> (ExperimentReport, bool) {
-    match std::panic::catch_unwind(move || {
-        let guard = obs::begin(obs::ObsMode::Cost);
-        let report = run(seed);
-        (report, guard.finish())
-    }) {
-        Ok((mut report, record)) => {
+    settings: obs::Settings,
+) -> (ExperimentReport, RunRecord, bool) {
+    let guard = obs::begin(settings);
+    let outcome = std::panic::catch_unwind(move || run(seed));
+    let record = guard.finish();
+    match outcome {
+        Ok(mut report) => {
             report.cost = Some(cost_of(&record));
             report.scoreboard = tussle_core::Scoreboard::from_record(&record);
-            (report, false)
+            (report, record, false)
         }
-        Err(payload) => (panic_report(name, seed, &panic_message(payload)), true),
+        Err(payload) => (panic_report(name, seed, &panic_message(payload)), record, true),
     }
 }
 
@@ -191,23 +191,15 @@ pub fn run_profiled(
     run: fn(u64) -> ExperimentReport,
     seed: u64,
 ) -> (ExperimentReport, RunRecord) {
-    let guard = obs::begin(obs::ObsMode::Profile);
-    let (report, panicked) = match std::panic::catch_unwind(move || run(seed)) {
-        Ok(report) => (report, false),
-        Err(payload) => (panic_report(name, seed, &panic_message(payload)), true),
-    };
-    let record = guard.finish();
-    let mut report = report;
-    if !panicked {
-        report.cost = Some(cost_of(&record));
-        report.scoreboard = tussle_core::Scoreboard::from_record(&record);
-    }
+    let (report, record, _) = run_scoped(name, run, seed, obs::ObsMode::Profile.into());
     (report, record)
 }
 
-/// Run one experiment, converting a panic into a structured failing report.
+/// Run one experiment under a Cost-mode observation scope, converting a
+/// panic into a structured failing report. The report carries the run's
+/// [`RunCost`] appendix.
 pub fn run_captured(name: &str, run: fn(u64) -> ExperimentReport, seed: u64) -> ExperimentReport {
-    run_isolated(name, run, seed).0
+    run_scoped(name, run, seed, obs::ObsMode::Cost.into()).0
 }
 
 /// The synthetic report a panicked run reduces to: `shape_holds == false`
@@ -313,6 +305,64 @@ mod tests {
             // The appendix must render into the markdown the goldens lock.
             assert!(r.to_markdown().contains(&cost.digest), "{}: cost line missing", r.id);
         }
+    }
+
+    #[test]
+    fn route_caching_leaves_every_report_unchanged() {
+        for (name, run) in registry() {
+            let report = |route_cache| {
+                let settings = obs::Settings { route_cache, ..obs::ObsMode::Cost.into() };
+                let (report, _, panicked) = run_scoped(name, run, 2002, settings);
+                assert!(!panicked, "{name} panicked");
+                report
+            };
+            let cached = report(true);
+            assert!(cached.cost.is_some(), "{name} has a Cost digest");
+            assert_eq!(cached, report(false), "{name}: the route cache changed the report");
+        }
+    }
+
+    /// E4 (which forwards packets) reporting the ambient intensity it ran at.
+    fn e4_reporting_intensity(seed: u64) -> ExperimentReport {
+        let mut report = e04_source_routing::run(seed);
+        report.summary = format!("intensity {}", obs::settings().intensity);
+        report
+    }
+
+    fn e4_then_panic(seed: u64) -> ExperimentReport {
+        e04_source_routing::run(seed);
+        panic!("deliberate test panic after E4's packets");
+    }
+
+    #[test]
+    fn a_panicked_chaos_cell_leaves_its_worker_thread_clean() {
+        let plain = || {
+            let report = run_captured("E4", e4_reporting_intensity, 3);
+            let (_, record, _) =
+                run_scoped("E4", e4_reporting_intensity, 3, obs::ObsMode::Cost.into());
+            (report, record.ambient_faults)
+        };
+        let fresh = std::thread::spawn(plain).join().unwrap();
+        let after_chaos = std::thread::spawn(move || {
+            let config = ChaosConfig {
+                intensities: vec![1.0],
+                seeds: 1,
+                base_seed: 3,
+                only: None,
+                threads: Some(1),
+            };
+            let chaos = run_chaos_entries(&[("E4", e4_then_panic)], &config).unwrap();
+            let cell = &chaos.experiments[0].intensities[0];
+            assert_eq!(cell.panics, 1);
+            assert!(cell.faults.faults() > 0, "the panicked cell keeps its pre-panic tally");
+            plain()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(after_chaos.0.summary, "intensity 0");
+        assert_eq!(after_chaos.1, tussle_sim::FaultStats::default(), "an empty fault tally");
+        assert!(after_chaos.0.cost.is_some());
+        assert_eq!(after_chaos, fresh, "same report and Cost digest as a fresh thread");
     }
 
     #[test]

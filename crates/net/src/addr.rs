@@ -63,11 +63,6 @@ impl Prefix {
         self.len == 0
     }
 
-    /// Whether this is the zero-length default prefix.
-    pub fn is_default(&self) -> bool {
-        self.is_empty()
-    }
-
     /// The masked prefix bits.
     pub fn bits(&self) -> u32 {
         self.bits

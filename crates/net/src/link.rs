@@ -83,13 +83,6 @@ impl Link {
         }
     }
 
-    /// Enable the FIFO queue with the given maximum tolerated queueing
-    /// delay.
-    pub fn with_queue(mut self, delay_cap: SimTime) -> Self {
-        self.queue_delay_cap = Some(delay_cap);
-        self
-    }
-
     /// The endpoint opposite `from`, or `None` if `from` is not on the link.
     pub fn other_end(&self, from: NodeId) -> Option<NodeId> {
         if from == self.a {

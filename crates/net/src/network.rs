@@ -17,7 +17,6 @@ use crate::table::Fib;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::OnceLock;
 use tussle_sim::{FaultOutcome, Fnv1a, RunDigest, SimRng, SimTime};
 
 /// Why a packet did not arrive.
@@ -155,17 +154,6 @@ struct RouteCache {
     queue: VecDeque<NodeId>,
 }
 
-/// Ambient kill switch: `TUSSLE_ROUTE_CACHE=off|0|false` force-disables the
-/// route cache process-wide, for digest-equivalence audits (ci.sh runs one).
-fn ambient_route_cache_enabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    !*DISABLED.get_or_init(|| {
-        std::env::var("TUSSLE_ROUTE_CACHE")
-            .map(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"))
-            .unwrap_or(false)
-    })
-}
-
 /// A `u64` rendered in decimal on the stack, so the observed `net.send`
 /// span fields cost no heap `String` per packet.
 struct Decimal {
@@ -219,15 +207,21 @@ pub struct Network {
     /// behind `&self`; `Network` is not shared across threads (each sweep
     /// worker owns its world), so a `RefCell` suffices.
     route_cache: RefCell<RouteCache>,
-    /// Per-instance switch for the route cache (see
-    /// [`Network::set_route_caching`]). The ambient env kill switch wins.
+    /// Whether [`Network::next_hop_toward`] uses the route cache: the
+    /// observation scope's setting at construction, then
+    /// [`Network::set_route_caching`].
     route_cache_enabled: bool,
 }
 
 impl Network {
-    /// An empty network.
+    /// An empty network, caching routes unless the active observation
+    /// scope turns route caching off (see [`tussle_sim::obs::Settings`]).
     pub fn new() -> Self {
-        Network { max_hops: 64, route_cache_enabled: true, ..Default::default() }
+        Network {
+            max_hops: 64,
+            route_cache_enabled: tussle_sim::obs::settings().route_cache,
+            ..Default::default()
+        }
     }
 
     /// The topology generation: a counter that advances on every mutation
@@ -238,16 +232,11 @@ impl Network {
     }
 
     /// Enable or disable the next-hop route cache for this instance
-    /// (default: enabled). Disabling makes every [`Network::next_hop_toward`]
-    /// call run a fresh BFS — the oracle arm of the equivalence tests. The
-    /// `TUSSLE_ROUTE_CACHE=off` environment variable disables it
-    /// process-wide regardless of this setting.
+    /// (default: the scope's setting, see [`Network::new`]). Disabling
+    /// makes every [`Network::next_hop_toward`] call run a fresh BFS — the
+    /// oracle arm of the equivalence tests.
     pub fn set_route_caching(&mut self, enabled: bool) {
         self.route_cache_enabled = enabled;
-    }
-
-    fn route_caching_active(&self) -> bool {
-        self.route_cache_enabled && ambient_route_cache_enabled()
     }
 
     fn bump_generation(&mut self) {
@@ -499,7 +488,7 @@ impl Network {
         if from == target {
             return Some(target);
         }
-        if !self.route_caching_active() {
+        if !self.route_cache_enabled {
             let mut prev = Vec::new();
             let mut queue = VecDeque::new();
             return self.bfs_first_hop(from, target, &mut prev, &mut queue);
@@ -761,44 +750,16 @@ impl Network {
             };
             let link = &mut self.links[link_id.index()];
             let fault_at = now.saturating_add(latency);
-            let outcome = link.faults.apply(fault_at, rng);
-            if outcome != FaultOutcome::Pass {
-                tussle_sim::obs::on_fault(fault_at);
-            }
-            match outcome {
-                FaultOutcome::Pass => {}
-                FaultOutcome::Corrupt => corrupted = true,
-                FaultOutcome::Drop => {
-                    return DeliveryReport {
-                        delivered: false,
-                        path,
-                        latency,
-                        drop: Some((current, DropReason::LinkLoss)),
-                        corrupted,
-                        mark,
-                    }
-                }
-                FaultOutcome::RateLimited => {
-                    return DeliveryReport {
-                        delivered: false,
-                        path,
-                        latency,
-                        drop: Some((current, DropReason::RateLimited)),
-                        corrupted,
-                        mark,
-                    }
-                }
-            }
-            // Ambient chaos: a thread-local intensity the chaos campaign wraps
-            // around whole experiment runs. The `> 0.0` gate guarantees zero
-            // rng draws at intensity 0, keeping such runs byte-identical to
-            // plain (non-chaos) runs.
-            if tussle_sim::fault::ambient_intensity() > 0.0 {
-                let ambient = tussle_sim::fault::ambient_apply(rng);
-                if ambient != FaultOutcome::Pass {
+            // The link's own injector decides first; unless it lost the
+            // packet, the scope's ambient intensity decides next. That
+            // draws nothing at intensity 0, so such runs match plain ones.
+            let link_outcome = link.faults.apply(fault_at, rng);
+            let ambient = std::iter::once_with(|| tussle_sim::obs::ambient_fault(rng)).flatten();
+            for outcome in std::iter::once(link_outcome).chain(ambient) {
+                if outcome != FaultOutcome::Pass {
                     tussle_sim::obs::on_fault(fault_at);
                 }
-                match ambient {
+                match outcome {
                     FaultOutcome::Pass => {}
                     FaultOutcome::Corrupt => corrupted = true,
                     FaultOutcome::Drop => {
@@ -1209,6 +1170,48 @@ mod tests {
         net.set_link_up(l1, false);
         assert!(net.link_between(a, b).is_none());
         assert!(net.link_between(a, a).is_none());
+    }
+
+    #[test]
+    fn new_networks_take_route_caching_from_the_scope() {
+        assert!(Network::new().route_cache_enabled, "caching is on outside any scope");
+        let off =
+            tussle_sim::obs::Settings { route_cache: false, ..tussle_sim::ObsMode::Cost.into() };
+        let scope = tussle_sim::obs::begin(off);
+        assert!(!Network::new().route_cache_enabled);
+        drop(scope);
+        assert!(Network::new().route_cache_enabled, "the scope's setting ends with it");
+    }
+
+    #[test]
+    fn link_then_ambient_faults_keep_their_draw_order() {
+        // Pinned before the link and ambient fault checks shared one loop:
+        // lossy, corrupting links under intensity 0.6, where a link
+        // corruption followed by an ambient drop must report both.
+        let (mut net, h0, _r1, _r2, _h3, a0, a3) = line();
+        for l in 0..net.links().len() {
+            let id = net.links()[l].id;
+            net.link_mut(id).faults = FaultInjector::lossy(0.1, 0.3);
+        }
+        let chaos =
+            tussle_sim::obs::Settings { intensity: 0.6, ..tussle_sim::ObsMode::Cost.into() };
+        let scope = tussle_sim::obs::begin(chaos);
+        let mut rng = SimRng::seed_from_u64(7);
+        let mut h = Fnv1a::new();
+        let mut corrupted_and_lost = 0;
+        for _ in 0..400 {
+            let rep = net.send(h0, pkt(a0, a3), &mut rng);
+            corrupted_and_lost += usize::from(rep.corrupted && rep.drop.is_some());
+            h.write_str(&format!("{:?}", (rep.delivered, rep.drop, rep.corrupted, rep.path.len())));
+        }
+        let stats = scope.finish().ambient_faults;
+        assert_eq!(format!("{:016x}", h.finish()), "111a3db1bead6e2b");
+        assert_eq!(
+            (stats.passed, stats.dropped, stats.corrupted, stats.rate_limited),
+            (666, 132, 40, 0)
+        );
+        assert_eq!(corrupted_and_lost, 93);
+        assert_eq!(rng.range(0u64..1_000_000), 955_405, "the rng stream is where it was");
     }
 
     #[test]

@@ -162,15 +162,8 @@ fn send_and_reschedule(w: &mut TrafficWorld, ctx: &mut Ctx<TrafficWorld>, flow: 
 fn attempt_send(w: &mut TrafficWorld, ctx: &mut Ctx<TrafficWorld>, flow: &Flow, attempt: u32) {
     let report = w.network.send_at(flow.from, flow.template.clone(), ctx.now(), ctx.rng);
     let label = &flow.label;
-    let hops = report.hops() as u64;
-    if hops > 0 {
-        ctx.metrics.record_series("net.forwards", ctx.now(), hops);
-    }
     if let Some(outcome) = report.fault_outcome() {
         ctx.metrics.record_fault(label, outcome);
-        if outcome != tussle_sim::FaultOutcome::Pass {
-            ctx.metrics.record_series("net.faults", ctx.now(), 1);
-        }
     }
     if report.delivered {
         ctx.metrics.incr(&format!("flow.{label}.delivered"));
@@ -445,15 +438,15 @@ mod tests {
         };
         let clean = baseline();
         assert_eq!(clean, 100);
-        {
-            let _guard = tussle_sim::fault::set_ambient_intensity(0.8);
-            let noisy = baseline();
-            assert!(noisy < 100, "ambient chaos drops packets: {noisy}");
-            let stats = tussle_sim::fault::take_ambient_stats();
-            assert!(stats.faults() > 0, "ambient stats tally the damage");
-        }
-        assert_eq!(baseline(), 100, "guard restores clean behaviour");
-        let _ = tussle_sim::fault::take_ambient_stats();
+        let scope = tussle_sim::obs::begin(tussle_sim::obs::Settings {
+            intensity: 0.8,
+            ..tussle_sim::ObsMode::Cost.into()
+        });
+        let noisy = baseline();
+        assert!(noisy < 100, "ambient chaos drops packets: {noisy}");
+        let stats = scope.finish().ambient_faults;
+        assert!(stats.faults() > 0, "the scope's record tallies the damage");
+        assert_eq!(baseline(), 100, "ending the scope restores clean behaviour");
     }
 
     #[test]

@@ -249,11 +249,6 @@ impl<W> Engine<W> {
         &self.metrics
     }
 
-    /// Metric sink (write) — for scenario-level bookkeeping outside events.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// Trace log (read).
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -262,11 +257,6 @@ impl<W> Engine<W> {
     /// Trace log (write).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
-    }
-
-    /// The run's random stream — for setup code that draws outside events.
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 
     /// Schedule `f` at absolute time `at` (clamped to `now`). Events
@@ -303,7 +293,6 @@ impl<W> Engine<W> {
         self.now = time;
         let id = EventId(seq);
         obs::on_dispatch(&ProvenanceNode { id, parent, time, span });
-        self.metrics.record_series("engine.events", time, 1);
         self.trace.set_current_event(Some(id));
         let mut ctx = Ctx {
             now: self.now,
@@ -413,11 +402,6 @@ impl<W> Engine<W> {
     /// that owns the engine.
     pub fn digest(&self) -> RunDigest {
         RunDigest::of_run(&self.trace, &self.metrics)
-    }
-
-    /// Consume the engine, returning the world and the metrics.
-    pub fn into_parts(self) -> (W, Metrics, Trace) {
-        (self.world, self.metrics, self.trace)
     }
 }
 
@@ -726,8 +710,6 @@ mod tests {
         assert_eq!(links, [(0, None), (2, Some(0)), (3, Some(2)), (1, None)]);
         // Dispatch times are recorded.
         assert_eq!(p[2].time, SimTime::from_millis(3));
-        // The engine also tallies a windowed event series.
-        assert_eq!(eng.metrics().series("engine.events").unwrap().total(), 4);
     }
 
     #[test]

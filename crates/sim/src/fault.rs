@@ -9,7 +9,6 @@
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 
 /// Outcome of passing a transmission through a fault injector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,7 +26,7 @@ pub enum FaultOutcome {
 /// Per-run tallies of fault-injector outcomes, so fault activity is
 /// observable instead of silent. Accumulated wherever transmissions pass
 /// through an injector (per-link injectors via [`crate::Metrics`], the
-/// ambient chaos layer via [`take_ambient_stats`]).
+/// ambient chaos layer on [`crate::RunRecord::ambient_faults`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Transmissions that passed unmodified.
@@ -70,79 +69,24 @@ impl FaultStats {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Ambient chaos: a thread-local fault intensity consulted by substrates that
-// carry traffic (tussle-net's forwarding path). The chaos campaign sets it
-// around an experiment run to degrade *whatever* infrastructure the
-// experiment happens to exercise, without the experiment opting in.
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static AMBIENT_INTENSITY: Cell<f64> = const { Cell::new(0.0) };
-    static AMBIENT_STATS: Cell<FaultStats> = const {
-        Cell::new(FaultStats { passed: 0, dropped: 0, corrupted: 0, rate_limited: 0 })
-    };
-}
-
-/// Restores the previous ambient intensity when dropped, so a panicking
-/// run cannot leak chaos into the next job on the same worker thread.
-#[derive(Debug)]
-pub struct AmbientGuard {
-    prev: f64,
-}
-
-impl Drop for AmbientGuard {
-    fn drop(&mut self) {
-        AMBIENT_INTENSITY.with(|c| c.set(self.prev));
-    }
-}
-
-/// Set this thread's ambient fault intensity (clamped to `[0, 1]`) and
-/// return a guard that restores the previous value on drop.
-#[must_use = "dropping the guard immediately restores the previous intensity"]
-pub fn set_ambient_intensity(intensity: f64) -> AmbientGuard {
-    let prev = AMBIENT_INTENSITY.with(|c| c.replace(intensity.clamp(0.0, 1.0)));
-    AmbientGuard { prev }
-}
-
-/// This thread's current ambient fault intensity in `[0, 1]`; `0` (the
-/// default) means the ambient layer is inert and consumes no randomness.
-pub fn ambient_intensity() -> f64 {
-    AMBIENT_INTENSITY.with(|c| c.get())
-}
-
-/// Take (and reset) this thread's ambient fault tallies.
-pub fn take_ambient_stats() -> FaultStats {
-    AMBIENT_STATS.with(|c| c.replace(FaultStats::default()))
-}
-
-/// Drop and corrupt probabilities implied by an ambient intensity. At
+/// Drop and corrupt probabilities per unit of fault intensity. At
 /// intensity 1 every fourth transmission drops and every tenth corrupts —
 /// strong enough to flip fragile claims, weak enough that robust ones
 /// survive the low end of the grid.
 const AMBIENT_DROP_WEIGHT: f64 = 0.25;
 const AMBIENT_CORRUPT_WEIGHT: f64 = 0.10;
 
-/// Decide the fate of one transmission under the current ambient
-/// intensity, drawing from `rng` and recording the outcome in the
-/// thread-local tallies. Callers must skip this entirely when
-/// [`ambient_intensity`] is zero so an intensity-0 run stays byte-identical
-/// to a run with no chaos harness at all (no extra RNG draws).
-pub fn ambient_apply(rng: &mut SimRng) -> FaultOutcome {
-    let i = ambient_intensity();
-    let outcome = if rng.chance(AMBIENT_DROP_WEIGHT * i) {
+/// The fate of one transmission under a run's ambient fault intensity
+/// (see [`crate::obs::ambient_fault`], which skips the call at intensity
+/// 0 so such runs draw nothing): a drop, else a corruption, else a pass.
+pub(crate) fn ambient_outcome(intensity: f64, rng: &mut SimRng) -> FaultOutcome {
+    if rng.chance(AMBIENT_DROP_WEIGHT * intensity) {
         FaultOutcome::Drop
-    } else if rng.chance(AMBIENT_CORRUPT_WEIGHT * i) {
+    } else if rng.chance(AMBIENT_CORRUPT_WEIGHT * intensity) {
         FaultOutcome::Corrupt
     } else {
         FaultOutcome::Pass
-    };
-    AMBIENT_STATS.with(|c| {
-        let mut stats = c.get();
-        stats.record(outcome);
-        c.set(stats);
-    });
-    outcome
+    }
 }
 
 /// Configurable fault injector with drop/corrupt probabilities and a
@@ -331,32 +275,39 @@ mod tests {
 
     #[test]
     fn ambient_guard_restores_and_stats_accumulate() {
-        assert_eq!(ambient_intensity(), 0.0);
-        let _ = take_ambient_stats();
-        {
-            let _g = set_ambient_intensity(1.0);
-            assert_eq!(ambient_intensity(), 1.0);
-            let mut rng = SimRng::seed_from_u64(3);
-            for _ in 0..200 {
-                ambient_apply(&mut rng);
-            }
-            // nesting restores the outer value, not zero
-            {
-                let _inner = set_ambient_intensity(0.25);
-                assert_eq!(ambient_intensity(), 0.25);
-            }
-            assert_eq!(ambient_intensity(), 1.0);
+        use crate::obs::{self, ObsMode, Settings};
+        let at = |intensity| Settings { mode: ObsMode::Cost, intensity, route_cache: true };
+        assert_eq!(obs::settings().intensity, 0.0);
+        let mut rng = SimRng::seed_from_u64(3);
+        assert_eq!(obs::ambient_fault(&mut rng), None, "no scope, no ambient draw");
+        let guard = obs::begin(at(1.0));
+        assert_eq!(obs::settings().intensity, 1.0);
+        for _ in 0..200 {
+            assert!(obs::ambient_fault(&mut rng).is_some());
         }
-        assert_eq!(ambient_intensity(), 0.0, "guard restores the default");
-        let stats = take_ambient_stats();
+        // nesting restores the outer value, not zero
+        {
+            let inner = obs::begin(at(0.25));
+            assert_eq!(obs::settings().intensity, 0.25);
+            obs::ambient_fault(&mut rng);
+            assert_eq!(inner.finish().ambient_faults.total(), 1, "the inner scope's own tally");
+        }
+        assert_eq!(obs::settings().intensity, 1.0);
+        let stats = guard.finish().ambient_faults;
+        assert_eq!(obs::settings().intensity, 0.0, "the guard restores the default");
         assert_eq!(stats.total(), 200);
         assert!(stats.dropped > 20, "intensity 1 drops ~25%: {stats:?}");
-        assert_eq!(take_ambient_stats().total(), 0, "take resets");
+        assert_eq!(
+            obs::begin(ObsMode::Cost).finish().ambient_faults.total(),
+            0,
+            "scopes start at 0"
+        );
     }
 
     #[test]
     fn ambient_intensity_is_clamped() {
-        let _g = set_ambient_intensity(7.5);
-        assert_eq!(ambient_intensity(), 1.0);
+        let settings = crate::obs::Settings { intensity: 7.5, ..crate::obs::ObsMode::Cost.into() };
+        let _g = crate::obs::begin(settings);
+        assert_eq!(crate::obs::settings().intensity, 1.0);
     }
 }

@@ -17,15 +17,17 @@
 //!   smoltcp's example harness.
 //! * [`FaultPlan`] — a deterministic, schedulable script of infrastructure
 //!   faults (link flaps, node outages, partition windows) layered on the
-//!   injector, plus a thread-local *ambient* intensity (see [`fault`])
-//!   that the chaos campaign wraps around whole experiment runs.
+//!   injector. The chaos campaign's *ambient* fault intensity is a setting
+//!   of a run's [`obs`] scope instead, drawn on every packet hop.
 //! * [`RunBudget`] — an engine watchdog: runaway runs end with a
 //!   structured [`RunOutcome`] instead of hanging.
 //! * [`RunDigest`] — an FNV-1a hash of a run's structured trace and final
 //!   metrics; determinism claims become one-line equality checks.
 //! * [`obs`] — an ambient per-run observation scope: cost counters
 //!   (events, rng draws, forwards), a rolling digest, and Profile-mode
-//!   per-topic time attribution, all zero-cost when disabled.
+//!   per-topic time attribution, all zero-cost when disabled. The scope
+//!   also carries the run's settings: its mode, its ambient fault
+//!   intensity and whether networks cache routes.
 //! * [`log`] — the bounded, arena-backed entry log behind every trace and
 //!   the Profile capture, read in place by every trace view and exporter.
 //! * [`provenance`] — the causal DAG of which event scheduled which:

@@ -85,22 +85,6 @@ impl TimeSeries {
         self.total == 0
     }
 
-    /// Merge another series into this one, coarsening both views to the
-    /// wider bucket width first.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        while self.width_micros < other.width_micros {
-            self.coarsen();
-        }
-        let mut o = other.clone();
-        while o.width_micros < self.width_micros {
-            o.coarsen();
-        }
-        for (a, b) in self.counts.iter_mut().zip(&o.counts) {
-            *a += b;
-        }
-        self.total += o.total;
-    }
-
     /// Export with trailing empty buckets trimmed.
     pub fn summary(&self) -> TimeSeriesSummary {
         let used = self.counts.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
@@ -268,17 +252,6 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Summarize into the fixed set of export statistics.
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
@@ -323,16 +296,11 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram summaries in key order.
     pub histograms: BTreeMap<String, HistogramSummary>,
-    /// Windowed virtual-time series in key order. **Not digested** — see
-    /// [`TimeSeries`].
-    pub series: BTreeMap<String, TimeSeriesSummary>,
 }
 
 impl MetricsSnapshot {
     /// Absorb the whole snapshot into a hasher. Key order is the BTreeMap
-    /// order, so equal snapshots absorb identically. The `series` section
-    /// is deliberately excluded: series are derived from already-digested
-    /// streams, and digests must stay stable as series capture evolves.
+    /// order, so equal snapshots absorb identically.
     pub fn absorb_into(&self, h: &mut Fnv1a) {
         absorb_metrics(
             h,
@@ -344,10 +312,7 @@ impl MetricsSnapshot {
 
     /// Whether the snapshot holds no metrics at all.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.series.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Render as markdown tables (one per non-empty section).
@@ -380,15 +345,6 @@ impl MetricsSnapshot {
                     "| {k} | {} | {:.4} | {:.4} | {:.4} | {:.4} |\n",
                     s.count, s.mean, s.p50, s.p95, s.max
                 ));
-            }
-        }
-        if !self.series.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str("| series | total | buckets |\n|---|---:|---|\n");
-            for (k, s) in &self.series {
-                out.push_str(&format!("| {k} | {} | {} |\n", s.total, s.render()));
             }
         }
         out
@@ -441,7 +397,6 @@ pub struct Metrics {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, TimeSeries>,
 }
 
 impl Metrics {
@@ -518,27 +473,6 @@ impl Metrics {
         }
     }
 
-    /// Add `n` occurrences to the windowed virtual-time series `key` at
-    /// time `at`. Series feed no obs hook and no digest: they are a
-    /// derived projection of streams that are already digested, so
-    /// recording them can never flip a determinism check.
-    pub fn record_series(&mut self, key: &str, at: SimTime, n: u64) {
-        // get_mut-first keeps the steady state (engine hot path) free of
-        // key allocation; only the first write per key allocates.
-        if let Some(s) = self.series.get_mut(key) {
-            s.record(at, n);
-        } else {
-            let mut s = TimeSeries::new();
-            s.record(at, n);
-            self.series.insert(key.to_owned(), s);
-        }
-    }
-
-    /// Access a windowed series, if anything was recorded under `key`.
-    pub fn series(&self, key: &str) -> Option<&TimeSeries> {
-        self.series.get(key)
-    }
-
     /// Absorb the live sink into a hasher exactly as its
     /// [`snapshot`](Metrics::snapshot) would absorb, without copying a key.
     pub fn absorb_into(&self, h: &mut Fnv1a) {
@@ -556,7 +490,6 @@ impl Metrics {
             counters: self.counters.clone(),
             gauges: self.gauges.clone(),
             histograms: self.histograms.iter().map(|(k, h)| (k.clone(), h.summary())).collect(),
-            series: self.series.iter().map(|(k, s)| (k.clone(), s.summary())).collect(),
         }
     }
 
@@ -573,23 +506,6 @@ impl Metrics {
     /// Iterate gauges in key order.
     pub fn gauges(&self) -> impl ExactSizeIterator<Item = (&str, f64)> {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Merge another sink into this one (counters add, gauges overwrite,
-    /// histograms merge).
-    pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-        for (k, s) in &other.series {
-            self.series.entry(k.clone()).or_default().merge(s);
-        }
     }
 }
 
@@ -659,18 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1.0);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.sum(), 4.0);
-        assert_eq!(a.max(), Some(3.0));
-    }
-
-    #[test]
     fn fault_outcomes_become_counters() {
         let mut m = Metrics::new();
         m.record_fault("flow.voip", FaultOutcome::Pass);
@@ -686,20 +590,6 @@ mod tests {
         );
         assert_eq!(stats.faults(), 4);
         assert_eq!(m.fault_stats("absent"), FaultStats::default());
-    }
-
-    #[test]
-    fn metrics_merge() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        a.add("x", 1);
-        b.add("x", 2);
-        b.set_gauge("g", 7.0);
-        b.observe("h", 5.0);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.gauge("g"), Some(7.0));
-        assert_eq!(a.histogram("h").unwrap().count(), 1);
     }
 
     #[test]
@@ -786,45 +676,5 @@ mod tests {
         assert_eq!(sum.total, 3);
         assert_eq!(sum.counts.iter().sum::<u64>(), 3, "coarsening conserves counts");
         assert_eq!(sum.counts[0], 2, "early samples merge into the first bucket");
-    }
-
-    #[test]
-    fn time_series_merge_aligns_widths() {
-        let mut fine = TimeSeries::new();
-        fine.record(SimTime::from_micros(5), 3);
-        let mut coarse = TimeSeries::new();
-        coarse.record(SimTime::from_millis(1_000), 1);
-        let coarse_width = coarse.width_micros();
-        fine.merge(&coarse);
-        assert_eq!(fine.width_micros(), coarse_width);
-        assert_eq!(fine.total(), 4);
-    }
-
-    #[test]
-    fn series_never_affect_the_snapshot_digest() {
-        use crate::digest::Fnv1a;
-        let mut plain = Metrics::new();
-        plain.add("x", 1);
-        let mut with_series = Metrics::new();
-        with_series.add("x", 1);
-        with_series.record_series("engine.events", SimTime::from_micros(7), 5);
-        let mut ha = Fnv1a::new();
-        plain.snapshot().absorb_into(&mut ha);
-        let mut hb = Fnv1a::new();
-        with_series.snapshot().absorb_into(&mut hb);
-        assert_eq!(ha.finish(), hb.finish(), "series are a non-digested projection");
-        assert!(!with_series.snapshot().is_empty());
-        let md = with_series.snapshot().to_markdown();
-        assert!(md.contains("| engine.events | 5 |"), "{md}");
-    }
-
-    #[test]
-    fn metrics_merge_includes_series() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        a.record_series("s", SimTime::from_micros(1), 1);
-        b.record_series("s", SimTime::from_micros(2), 2);
-        a.merge(&b);
-        assert_eq!(a.series("s").unwrap().total(), 3);
     }
 }

@@ -9,6 +9,15 @@
 //! counted and folded into a rolling [`RunDigest`]. [`ObsGuard::finish`]
 //! returns the [`RunRecord`].
 //!
+//! A scope is also the one carrier of a run's [`Settings`]: besides its
+//! observation mode, the ambient fault intensity every `tussle-net` packet
+//! hop crosses (its tally lands on [`RunRecord::ambient_faults`]) and
+//! whether networks built inside it cache routes. A nested scope's
+//! settings are exactly the ones it was begun with — it inherits nothing
+//! from the enclosing scope — and the enclosing scope's settings return
+//! when it ends, across panics too. Outside any scope the settings are
+//! [`Settings::default`]: nothing observed, intensity 0, caching on.
+//!
 //! Three modes, mirroring the zero-cost-when-disabled contract:
 //!
 //! * **Off** — every hook is a single thread-local byte load and a branch.
@@ -25,9 +34,11 @@
 
 use crate::digest::{Fnv1a, RunDigest};
 use crate::event::EventId;
+use crate::fault::{self, FaultOutcome, FaultStats};
 use crate::log::TraceLog;
 use crate::metrics::{Histogram, MetricsSnapshot, RunSeries, TimeSeries};
 use crate::provenance::ProvenanceNode;
+use crate::rng::SimRng;
 use crate::time::SimTime;
 use crate::trace::{EntryParts, Fields, SpanKind};
 use serde::{Deserialize, Serialize};
@@ -46,9 +57,39 @@ pub enum ObsMode {
     Profile,
 }
 
-const MODE_OFF: u8 = 0;
-const MODE_COST: u8 = 1;
-const MODE_PROFILE: u8 = 2;
+/// A run's settings, fixed when its scope begins (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Settings {
+    /// How much the scope observes.
+    pub mode: ObsMode,
+    /// Ambient fault intensity in `[0, 1]` (clamped when the scope
+    /// begins): every packet hop draws a drop or a corruption at this
+    /// intensity. At 0 a hop draws nothing, so the run matches one with no
+    /// chaos at all.
+    pub intensity: f64,
+    /// Whether a `tussle-net` network built inside the scope starts with
+    /// its route cache on.
+    pub route_cache: bool,
+}
+
+impl Settings {
+    /// The settings outside any scope.
+    const NONE: Settings = Settings { mode: ObsMode::Off, intensity: 0.0, route_cache: true };
+}
+
+impl Default for Settings {
+    /// Nothing observed, intensity 0, route caching on.
+    fn default() -> Self {
+        Settings::NONE
+    }
+}
+
+impl From<ObsMode> for Settings {
+    /// A scope of `mode` with the default intensity and route caching.
+    fn from(mode: ObsMode) -> Self {
+        Settings { mode, ..Settings::NONE }
+    }
+}
 
 /// How many provenance nodes a Profile scope retains: as many as entries.
 const PROVENANCE_CAPACITY: usize = TraceLog::CAPACITY;
@@ -126,6 +167,9 @@ pub struct RunRecord {
     pub provenance: Vec<ProvenanceNode>,
     /// Provenance nodes evicted due to capacity.
     pub provenance_dropped: u64,
+    /// Outcomes of the scope's ambient fault draws (see
+    /// [`Settings::intensity`]); empty at intensity 0. Never digested.
+    pub ambient_faults: FaultStats,
     /// Rolling digest value *after each absorbed trace entry* (Profile
     /// mode only): `prefix_digests[i]` is the digest state once entry `i`
     /// was absorbed. Two runs' streams first diverge at the smallest index
@@ -166,6 +210,7 @@ struct ObsState {
     provenance: VecDeque<ProvenanceNode>,
     provenance_dropped: u64,
     prefix: Vec<u64>,
+    ambient_faults: FaultStats,
     series_events: TimeSeries,
     series_forwards: TimeSeries,
     series_faults: TimeSeries,
@@ -211,6 +256,7 @@ impl ObsState {
             provenance: VecDeque::new(),
             provenance_dropped: 0,
             prefix: Vec::new(),
+            ambient_faults: FaultStats::default(),
             series_events: TimeSeries::new(),
             series_forwards: TimeSeries::new(),
             series_faults: TimeSeries::new(),
@@ -247,6 +293,7 @@ impl ObsState {
             provenance: self.provenance.into_iter().collect(),
             provenance_dropped: self.provenance_dropped,
             prefix_digests: self.prefix,
+            ambient_faults: self.ambient_faults,
             series: RunSeries {
                 events: self.series_events.summary(),
                 forwards: self.series_forwards.summary(),
@@ -257,7 +304,6 @@ impl ObsState {
                 counters: self.acc_counters,
                 gauges: self.acc_gauges,
                 histograms: self.acc_hists.into_iter().map(|(k, h)| (k, h.summary())).collect(),
-                series: BTreeMap::new(),
             },
         }
     }
@@ -356,24 +402,19 @@ impl ObsState {
 }
 
 thread_local! {
-    static MODE: Cell<u8> = const { Cell::new(MODE_OFF) };
+    /// The active scope's settings, kept beside its state so that every
+    /// hook's fast path is one load.
+    static SETTINGS: Cell<Settings> = const { Cell::new(Settings::NONE) };
     static STATE: RefCell<Option<ObsState>> = const { RefCell::new(None) };
 }
 
-fn mode_byte(mode: ObsMode) -> u8 {
-    match mode {
-        ObsMode::Off => MODE_OFF,
-        ObsMode::Cost => MODE_COST,
-        ObsMode::Profile => MODE_PROFILE,
-    }
-}
-
 /// RAII scope for one observed run. Restores the previously active scope
-/// (if any) on drop, including across panics, so nested scopes and
-/// panic-isolated workers compose.
+/// and its settings (if any) on drop, including across panics, so nested
+/// scopes and panic-isolated workers compose.
 #[must_use = "dropping the guard immediately ends the observation scope"]
 pub struct ObsGuard {
     prev: Option<ObsState>,
+    prev_settings: Settings,
 }
 
 impl ObsGuard {
@@ -388,36 +429,46 @@ impl ObsGuard {
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
-        let prev = self.prev.take();
-        MODE.with(|m| m.set(prev.as_ref().map_or(MODE_OFF, |s| mode_byte(s.mode))));
-        STATE.with(|s| *s.borrow_mut() = prev);
+        SETTINGS.with(|c| c.set(self.prev_settings));
+        STATE.with(|s| *s.borrow_mut() = self.prev.take());
     }
 }
 
-/// Open an observation scope on this thread. All instrumented operations
-/// until the guard is finished (or dropped) are attributed to it.
-pub fn begin(mode: ObsMode) -> ObsGuard {
-    let prev = STATE.with(|s| s.borrow_mut().replace(ObsState::new(mode)));
-    MODE.with(|m| m.set(mode_byte(mode)));
-    ObsGuard { prev }
+/// Open a scope on this thread, with `settings` or just a mode (which
+/// takes the default intensity and caching). All instrumented operations
+/// until the guard is finished (or dropped) are attributed to it, and run
+/// under its settings.
+pub fn begin(settings: impl Into<Settings>) -> ObsGuard {
+    let settings = settings.into();
+    let settings = Settings { intensity: settings.intensity.clamp(0.0, 1.0), ..settings };
+    let prev = STATE.with(|s| s.borrow_mut().replace(ObsState::new(settings.mode)));
+    let prev_settings = SETTINGS.with(|c| c.replace(settings));
+    ObsGuard { prev, prev_settings }
+}
+
+/// The settings of this thread's active scope ([`Settings::default`]
+/// outside any scope).
+#[inline]
+pub fn settings() -> Settings {
+    SETTINGS.with(Cell::get)
 }
 
 /// Whether any observation scope is active on this thread.
 #[inline]
 pub fn active() -> bool {
-    MODE.with(|m| m.get()) != MODE_OFF
+    settings().mode != ObsMode::Off
 }
 
 /// Whether a Profile-mode scope is active (callers use this to gate
 /// wall-clock reads, which are not free).
 #[inline]
 pub fn profiling() -> bool {
-    MODE.with(|m| m.get()) == MODE_PROFILE
+    settings().mode == ObsMode::Profile
 }
 
 #[inline]
 fn with_state(f: impl FnOnce(&mut ObsState)) {
-    if MODE.with(|m| m.get()) == MODE_OFF {
+    if !active() {
         return;
     }
     STATE.with(|s| {
@@ -425,6 +476,26 @@ fn with_state(f: impl FnOnce(&mut ObsState)) {
             f(st);
         }
     });
+}
+
+/// The ambient fault one transmission suffers under the scope's
+/// intensity, drawn from `rng` and tallied on the record. `None` at
+/// intensity 0 (always the case outside a scope), without drawing.
+#[inline]
+pub fn ambient_fault(rng: &mut SimRng) -> Option<FaultOutcome> {
+    let intensity = settings().intensity;
+    if intensity > 0.0 {
+        let outcome = fault::ambient_outcome(intensity, rng);
+        // Tallied in every mode: a positive intensity means a scope is open.
+        STATE.with(|s| {
+            if let Some(st) = s.borrow_mut().as_mut() {
+                st.ambient_faults.record(outcome);
+            }
+        });
+        Some(outcome)
+    } else {
+        None
+    }
 }
 
 /// One engine event was dispatched.
@@ -804,31 +875,42 @@ mod tests {
 
     #[test]
     fn nested_scopes_restore_outer() {
-        let outer = begin(ObsMode::Cost);
+        let outer_settings = Settings { mode: ObsMode::Cost, intensity: 0.5, route_cache: false };
+        let outer = begin(outer_settings);
         on_event();
+        let mut rng = SimRng::seed_from_u64(1);
+        assert!(ambient_fault(&mut rng).is_some());
         {
             let inner = begin(ObsMode::Profile);
             assert!(profiling());
+            assert_eq!(settings(), ObsMode::Profile.into(), "a nested scope inherits nothing");
+            assert_eq!(ambient_fault(&mut rng), None, "the inner scope runs at intensity 0");
             on_event();
             on_event();
             let rec = inner.finish();
             assert_eq!(rec.events, 2, "inner scope sees only its own work");
+            assert_eq!(rec.ambient_faults.total(), 0);
         }
         assert!(active());
         assert!(!profiling(), "outer Cost scope restored");
+        assert_eq!(settings(), outer_settings, "outer settings restored");
+        assert!(ambient_fault(&mut rng).is_some());
         on_event();
         let rec = outer.finish();
         assert_eq!(rec.events, 2, "outer scope never saw the inner events");
+        assert_eq!(rec.ambient_faults.total(), 2, "nor tallied the inner scope's hops");
+        assert_eq!(settings(), Settings::default(), "no scope, default settings");
     }
 
     #[test]
     fn guard_restores_across_panic() {
         let result = std::panic::catch_unwind(|| {
-            let _g = begin(ObsMode::Cost);
+            let _g = begin(Settings { mode: ObsMode::Cost, intensity: 1.0, route_cache: false });
             panic!("boom");
         });
         assert!(result.is_err());
         assert!(!active(), "scope cleaned up during unwind");
+        assert_eq!(settings(), Settings::default(), "settings restored during unwind");
     }
 
     #[test]

@@ -321,7 +321,6 @@ enum MetricOp {
     Counter(usize, u64),
     Gauge(usize, f64),
     Observe(usize, f64),
-    Series(usize, u64),
 }
 
 fn sample() -> impl Strategy<Value = f64> {
@@ -340,8 +339,7 @@ fn metric_ops() -> impl Strategy<Value = Vec<MetricOp>> {
     let op = prop_oneof![
         (key.clone(), 0u64..1_000).prop_map(|(k, n)| MetricOp::Counter(k, n)),
         (key.clone(), sample()).prop_map(|(k, v)| MetricOp::Gauge(k, v)),
-        (key.clone(), sample()).prop_map(|(k, v)| MetricOp::Observe(k, v)),
-        (key, 0u64..100_000).prop_map(|(k, t)| MetricOp::Series(k, t)),
+        (key, sample()).prop_map(|(k, v)| MetricOp::Observe(k, v)),
     ];
     proptest::collection::vec(op, 0..40)
 }
@@ -354,7 +352,6 @@ fn metrics(ops: &[MetricOp]) -> Metrics {
             MetricOp::Counter(k, n) => m.add(WORDS[k], n),
             MetricOp::Gauge(k, v) => m.set_gauge(WORDS[k], v),
             MetricOp::Observe(k, v) => m.observe(WORDS[k], v),
-            MetricOp::Series(k, t) => m.record_series(WORDS[k], SimTime::from_micros(t), 1),
         }
     }
     m
