@@ -48,6 +48,7 @@ timed_test "actors/oracle_network"         -p tussle-actors      --test oracle_n
 timed_test "actors/oracle_freezing"        -p tussle-actors      --test oracle_freezing
 timed_test "cli/oracle_parse"              -p tussle-cli         --test oracle_parse
 timed_test "econ/prop_ledger"              -p tussle-econ        --test prop_ledger
+timed_test "econ/oracle_market"            -p tussle-econ        --test oracle_market
 timed_test "experiments/chaos_campaign"    -p tussle-experiments --test chaos_campaign
 timed_test "experiments/oracle_fuzz"       -p tussle-experiments --test oracle_fuzz
 timed_test "experiments/profile_allocations" -p tussle-experiments --test profile_allocations

@@ -32,7 +32,7 @@ pub enum ActorKind {
 
 /// An actor. Its stances on the network's issue axes live in the network:
 /// [`ActorNetwork::stances`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Actor {
     /// Identifier.
     pub id: ActorId,
@@ -51,7 +51,7 @@ pub struct Actor {
 /// its alignments, and aligning with a removed actor does nothing. Aligned
 /// pairs are always visited in `(low id, high id)` order; that order fixes
 /// every float the network computes (DESIGN.md §7).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ActorNetwork {
     actors: Vec<Actor>,
     /// Stances in lane chunks, `issue_count.div_ceil(LANES)` per actor:
@@ -224,13 +224,19 @@ impl ActorNetwork {
     }
 
     /// One relaxation step: aligned actors pull each other's stances
-    /// together at `rate` (tussles get resolved; the network hardens).
+    /// together at `rate`, clamped to `[0, 1]` (tussles get resolved; the
+    /// network hardens).
     ///
     /// Pairs run in `(low, high)` order. Lanes never mix, so each low
     /// actor's chunk is held in a local across all its ties, and the ties
     /// strengthen only once its lanes are done: every lane still sees the
-    /// same operations in the same order (DESIGN.md §7).
+    /// same operations in the same order (DESIGN.md §7). With `rate` and
+    /// every strength in `[0, 1]`, a pull moves each stance at most half
+    /// the rounded gap toward its partner, so both results stay between the
+    /// two inputs and inside `[-1, 1]` with no clamp (DESIGN.md, "Actor-network
+    /// layout").
     pub fn relax(&mut self, rate: f64) {
+        let rate = rate.clamp(0.0, 1.0);
         let chunks = self.row_chunks();
         for (a, ties) in self.upper.iter_mut().enumerate() {
             // every tie's b is above a, so its row lies in `above`
@@ -241,8 +247,8 @@ impl ActorNetwork {
                     let xb = &mut above[(b.index() - a - 1) * chunks + j];
                     for (xa, xb) in xa.iter_mut().zip(xb) {
                         let pull = rate * s * (*xb - *xa) / 2.0;
-                        *xa = (*xa + pull).clamp(-1.0, 1.0);
-                        *xb = (*xb - pull).clamp(-1.0, 1.0);
+                        *xa += pull;
+                        *xb -= pull;
                     }
                 }
                 *chunk = xa;

@@ -1,11 +1,14 @@
 //! Equivalence oracle for the dense actor-network storage.
 //!
 //! `RefNetwork` is the `BTreeMap`-keyed `ActorNetwork` the dense layout
-//! replaced, kept verbatim. The dense network, with its stances in lane
-//! chunks, must compute every float bit for bit as it did: on random
-//! operation sequences, and on E12's churn loop replayed through the real
-//! `ChurnProcess` against a mirror of that loop driven by the same random
-//! draws.
+//! replaced, kept verbatim but for one line: its `relax` clamps the rate
+//! into `[0, 1]` on entry, as the dense one does. The dense network, with
+//! its stances in lane chunks and no per-lane clamp in `relax`, must
+//! compute every float bit for bit as the reference, which keeps its
+//! per-lane clamps: on random operation sequences at any rate, at stances
+//! already on the bounds, and on E12's churn loop replayed through the
+//! real `ChurnProcess` against a mirror of that loop driven by the same
+//! random draws.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -149,6 +152,7 @@ impl RefNetwork {
     /// One relaxation step: aligned actors pull each other's stances
     /// together at `rate` (tussles get resolved; the network hardens).
     pub fn relax(&mut self, rate: f64) {
+        let rate = rate.clamp(0.0, 1.0);
         let pairs: Vec<(ActorId, ActorId, f64)> =
             self.alignment.iter().map(|((a, b), s)| (*a, *b, *s)).collect();
         for (a, b, s) in pairs {
@@ -216,8 +220,24 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..16, 0usize..16, -0.5f64..1.5).prop_map(|(a, b, s)| Op::Align(a, b, s)),
         (0usize..16, 0usize..16, -0.5f64..1.5).prop_map(|(a, b, s)| Op::Align(a, b, s)),
         (0usize..16).prop_map(Op::Remove),
-        (0.0f64..1.0).prop_map(Op::Relax),
+        arb_rate().prop_map(Op::Relax),
     ]
+}
+
+/// Relaxation rates: mostly in `[0, 1)`, and now and then exactly 0, -0 or
+/// 1, a negative rate, a rate above 1, an infinity or NaN.
+fn arb_rate() -> impl Strategy<Value = f64> {
+    (0u32..32, 0.0f64..1.0).prop_map(|(k, r)| match k {
+        0 => f64::NAN,
+        1 => 0.0,
+        2 => -0.0,
+        3 => 1.0,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        6 | 7 => -2.0 * r,
+        8 | 9 => 1.0 + 2.0 * r,
+        _ => r,
+    })
 }
 
 proptest! {
@@ -281,6 +301,36 @@ fn aligning_a_removed_actor_is_a_no_op() {
     real.relax(0.5);
     reference.relax(0.5);
     assert_same(&real, &reference);
+}
+
+/// Stances already on the bounds, every pair tied at full strength and
+/// relaxed at rate 1: each pull is as large as it can be, and the per-lane
+/// clamps the reference keeps still never fire.
+#[test]
+fn full_pulls_from_the_bounds_need_no_clamp() {
+    let rows = [
+        [1.0, -1.0, 1.0, -1.0, 1.0],
+        [-1.0, 1.0, 1.0, -1.0, -1.0],
+        [1.0, 1.0, -1.0, -1.0, 1.0],
+        [-1.0, -1.0, -1.0, 1.0, 1.0],
+    ];
+    let mut real = ActorNetwork::new(5);
+    let mut reference = RefNetwork::new(5);
+    for (i, row) in rows.iter().enumerate() {
+        real.add_actor(kind(i), "a", row.to_vec());
+        reference.add_actor(kind(i), "a", row.to_vec());
+    }
+    for a in 0..rows.len() as u32 {
+        for b in a + 1..rows.len() as u32 {
+            real.align(ActorId(a), ActorId(b), 1.0);
+            reference.align(ActorId(a), ActorId(b), 1.0);
+        }
+    }
+    for _ in 0..6 {
+        real.relax(1.0);
+        reference.relax(1.0);
+        assert_same(&real, &reference);
+    }
 }
 
 /// E12's founding population and ties

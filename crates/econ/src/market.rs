@@ -114,17 +114,18 @@ impl Market {
         Market { consumers, providers, amortization_months: 12, price_step: Money::from_dollars(2) }
     }
 
-    /// Monthly surplus consumer `c` would get from provider `p`, *before*
-    /// switching costs.
-    fn gross_surplus(&self, c: &Consumer, p: &Provider) -> Money {
+    /// Monthly surplus consumer `c` would get from provider `p` charging
+    /// `scheme`, *before* switching costs.
+    fn gross_surplus(c: &Consumer, p: &Provider, scheme: &PricingScheme) -> Money {
         let perceived = c.value.scale(p.quality);
-        perceived - p.scheme.bill(c.observed_usage())
+        perceived - scheme.bill(c.observed_usage())
     }
 
-    /// Monthly-equivalent surplus including the amortized switching cost if
-    /// `p_idx` differs from the consumer's current provider.
-    fn net_surplus(&self, c: &Consumer, p_idx: usize) -> Money {
-        let gross = self.gross_surplus(c, &self.providers[p_idx]);
+    /// Monthly-equivalent surplus from provider `p_idx` charging `scheme`,
+    /// including the amortized switching cost if `p_idx` differs from the
+    /// consumer's current provider.
+    fn net_surplus_at(&self, c: &Consumer, p_idx: usize, scheme: &PricingScheme) -> Money {
+        let gross = Self::gross_surplus(c, &self.providers[p_idx], scheme);
         if c.provider == Some(p_idx) {
             gross
         } else {
@@ -132,15 +133,17 @@ impl Market {
         }
     }
 
-    /// The provider a consumer would pick right now (`None` = go unserved).
+    /// [`Market::net_surplus_at`] under the provider's current tariff.
+    fn net_surplus(&self, c: &Consumer, p_idx: usize) -> Money {
+        self.net_surplus_at(c, p_idx, &self.providers[p_idx].scheme)
+    }
+
+    /// The provider a consumer would pick right now (`None` = go unserved):
+    /// the first with the best admissible (non-negative) net surplus.
     fn best_choice(&self, c: &Consumer) -> Option<usize> {
         let mut best: Option<(usize, Money)> = None;
         for idx in 0..self.providers.len() {
             let s = self.net_surplus(c, idx);
-            if !s.is_positive() && !s.micros().eq(&0) {
-                // negative surplus: skip
-                continue;
-            }
             if s.is_negative() {
                 continue;
             }
@@ -157,26 +160,36 @@ impl Market {
     pub fn choice_phase(&mut self) -> usize {
         let mut switches = 0;
         for i in 0..self.consumers.len() {
-            let c = self.consumers[i].clone();
-            let pick = self.best_choice(&c);
+            let pick = self.best_choice(&self.consumers[i]);
+            let c = &mut self.consumers[i];
             if pick != c.provider {
                 switches += 1;
             }
-            self.consumers[i].provider = pick;
+            c.provider = pick;
         }
         switches
     }
 
-    /// Demand and profit provider `p_idx` would see if it charged
-    /// `candidate`, with every other provider's tariff held fixed.
-    fn profit_if(&self, p_idx: usize, candidate: &PricingScheme) -> Money {
+    /// The least net surplus with which provider `p_idx` wins consumer `c`
+    /// from the others' current tariffs, by [`Market::best_choice`]'s rule:
+    /// admissible, one micro-unit above every earlier offer (ties go to the
+    /// first index) and at least every later one.
+    fn winning_surplus(&self, c: &Consumer, p_idx: usize) -> Money {
+        let offer = |i| self.net_surplus(c, i);
+        let earlier = (0..p_idx).map(offer).max().map(|s| s + Money(1));
+        let later = (p_idx + 1..self.providers.len()).map(offer).max();
+        earlier.into_iter().chain(later).fold(Money::ZERO, Money::max)
+    }
+
+    /// Profit provider `p_idx` would make charging `candidate`, with every
+    /// other provider's tariff held fixed: it serves consumer `i` when its
+    /// offer reaches `needs[i]`, the [`Market::winning_surplus`].
+    fn candidate_profit(&self, p_idx: usize, candidate: &PricingScheme, needs: &[Money]) -> Money {
         let mut profit = Money::ZERO;
-        let mut trial = self.clone();
-        trial.providers[p_idx].scheme = candidate.clone();
-        for c in &self.consumers {
-            if trial.best_choice(c) == Some(p_idx) {
+        for (c, &need) in self.consumers.iter().zip(needs) {
+            if self.net_surplus_at(c, p_idx, candidate) >= need {
                 let revenue = candidate.bill(c.observed_usage());
-                profit += revenue - trial.providers[p_idx].marginal_cost;
+                profit += revenue - self.providers[p_idx].marginal_cost;
             }
         }
         profit
@@ -188,6 +201,11 @@ impl Market {
     /// enough to overcome the average switching cost — and keeps the most
     /// profitable. The undercut candidates are what let Bertrand dynamics
     /// and Edgeworth cycles emerge instead of lockstep tacit collusion.
+    ///
+    /// While one provider tries its candidates, the others' offers stand
+    /// still, so each consumer's winning surplus is computed once per
+    /// provider; it is recomputed for the next provider, whose rivals
+    /// include the tariff just chosen.
     pub fn pricing_phase(&mut self) {
         let avg_switch_monthly = if self.consumers.is_empty() {
             Money::ZERO
@@ -198,10 +216,13 @@ impl Market {
                     / self.amortization_months.max(1),
             )
         };
+        let mut needs = Vec::with_capacity(self.consumers.len());
         for idx in 0..self.providers.len() {
             if !self.providers[idx].adjusts_price {
                 continue;
             }
+            needs.clear();
+            needs.extend(self.consumers.iter().map(|c| self.winning_surplus(c, idx)));
             let current = self.providers[idx].scheme.clone();
             let rival_floor = self
                 .providers
@@ -224,9 +245,9 @@ impl Market {
                     floor - here - avg_switch_monthly - self.price_step,
                 ));
             }
-            let mut best = (self.profit_if(idx, &current), current.clone());
+            let mut best = (self.candidate_profit(idx, &current, &needs), current.clone());
             for cand in candidates.into_iter().flatten() {
-                let p = self.profit_if(idx, &cand);
+                let p = self.candidate_profit(idx, &cand, &needs);
                 if p > best.0 {
                     best = (p, cand);
                 }
@@ -269,9 +290,11 @@ impl Market {
             if let Some(p) = c.provider {
                 served += 1;
                 shares[p] += 1;
-                consumer_surplus += self.gross_surplus(c, &self.providers[p]).max(Money::ZERO);
-                provider_profit += self.providers[p].scheme.bill(c.observed_usage())
-                    - self.providers[p].marginal_cost;
+                let provider = &self.providers[p];
+                consumer_surplus +=
+                    Self::gross_surplus(c, provider, &provider.scheme).max(Money::ZERO);
+                provider_profit +=
+                    provider.scheme.bill(c.observed_usage()) - provider.marginal_cost;
             }
         }
         let avg_headline = if self.providers.is_empty() {

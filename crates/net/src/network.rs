@@ -181,7 +181,7 @@ impl Decimal {
 }
 
 /// A complete simulated network.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Network {
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -213,14 +213,30 @@ pub struct Network {
     route_cache_enabled: bool,
 }
 
+impl Default for Network {
+    /// The same network as [`Network::new`].
+    fn default() -> Self {
+        Network::new()
+    }
+}
+
 impl Network {
     /// An empty network, caching routes unless the active observation
     /// scope turns route caching off (see [`tussle_sim::obs::Settings`]).
     pub fn new() -> Self {
         Network {
+            nodes: Vec::new(),
+            links: Vec::new(),
+            adj: Vec::new(),
+            fibs: Vec::new(),
+            firewalls: BTreeMap::new(),
+            qos: BTreeMap::new(),
             max_hops: 64,
+            crashed: BTreeMap::new(),
+            generation: 0,
+            pair_links: HashMap::default(),
+            route_cache: RefCell::default(),
             route_cache_enabled: tussle_sim::obs::settings().route_cache,
-            ..Default::default()
         }
     }
 
@@ -861,7 +877,11 @@ mod tests {
 
     /// h0 -- r1 -- r2 -- h3, addresses 0x0a.., 0x0d.. on the hosts.
     fn line() -> (Network, NodeId, NodeId, NodeId, NodeId, Address, Address) {
-        let mut net = Network::new();
+        line_on(Network::new())
+    }
+
+    /// [`line`], built on `net`.
+    fn line_on(mut net: Network) -> (Network, NodeId, NodeId, NodeId, NodeId, Address, Address) {
         let h0 = net.add_host(Asn(1));
         let r1 = net.add_router(Asn(1));
         let r2 = net.add_router(Asn(2));
@@ -1170,6 +1190,17 @@ mod tests {
         net.set_link_up(l1, false);
         assert!(net.link_between(a, b).is_none());
         assert!(net.link_between(a, a).is_none());
+    }
+
+    #[test]
+    fn default_networks_deliver_like_new_ones() {
+        let send = |net: Network| {
+            let (mut net, h0, _, _, _, a0, a3) = line_on(net);
+            net.send(h0, pkt(a0, a3), &mut SimRng::seed_from_u64(1))
+        };
+        let rep = send(Network::new());
+        assert!(rep.delivered);
+        assert_eq!(send(Network::default()), rep);
     }
 
     #[test]
